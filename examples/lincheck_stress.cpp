@@ -76,17 +76,17 @@ int main(int Argc, char **Argv) {
           case 0:
             recordOp(
                 Log, SetOp::Insert, Key,
-                [&] { return Set->insert(Key); }, &nowNanos);
+                [&] { return Set->insert(Key); });
             break;
           case 1:
             recordOp(
                 Log, SetOp::Remove, Key,
-                [&] { return Set->remove(Key); }, &nowNanos);
+                [&] { return Set->remove(Key); });
             break;
           default:
             recordOp(
                 Log, SetOp::Contains, Key,
-                [&] { return Set->contains(Key); }, &nowNanos);
+                [&] { return Set->contains(Key); });
             break;
           }
         }
@@ -99,10 +99,12 @@ int main(int Argc, char **Argv) {
     const LinResult Result = checkSetHistory(Recorder.merged(), Initial);
     std::printf("round %d: %zu ops on '%s' -> %s (checked in %.2fs)\n",
                 Round, Recorder.totalOps(), Algo.c_str(),
-                Result.Ok ? "LINEARIZABLE" : "NOT LINEARIZABLE",
+                linVerdictName(Result.Verdict),
                 CheckTimer.elapsedSeconds());
-    if (!Result.Ok) {
-      std::printf("  violation: %s\n", Result.Message.c_str());
+    if (!Result.ok()) {
+      std::printf("  %s (seed %lld, %s)\n", Result.Message.c_str(),
+                  static_cast<long long>(Flags.getInt("seed")),
+                  hostContext().c_str());
       return 1;
     }
   }

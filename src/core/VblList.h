@@ -588,6 +588,13 @@ private:
         vbl_unreachable("lockNextAt validated the successor identity");
       if (!lockNextAt(Victim, Succ, G)) {
         Prev->NodeLock.template release<Policy>(Prev);
+        // VBR: Succ lies past the traversal's last certified node. If
+        // it was revived after this guard's version, its birth check
+        // fails on every retry until the version moves on — and the
+        // re-walk never refreshes it, since it stops at curr.
+        if constexpr (Versioned)
+          if (!Domain.validAt(Succ, G.version()))
+            G.refresh();
         Policy::onRestart();
         continue;
       }

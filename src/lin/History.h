@@ -20,14 +20,28 @@
 #include "support/Compiler.h"
 #include "sync/Policy.h"
 
+#include <atomic>
 #include <cstdint>
 #include <vector>
 
 namespace vbl {
 namespace lin {
 
-/// One completed high-level operation. Invoke/Response are timestamps
-/// from one monotonic clock: Op A precedes Op B in real time iff
+/// The history clock: a logical counter every Invoke/Response stamp
+/// takes with a seq_cst fetch_add. The read-modify-write orders the
+/// stamp after every store the op made (a locked instruction drains
+/// the store buffer on x86), so a writer whose linearization point is
+/// a plain release store cannot stamp its Response before that store
+/// is visible — which an unfenced TSC read can. The ticks also form
+/// one total order across threads. History recording only: timing
+/// (nowNanos, Stopwatch) and the benches stay fence-free.
+inline uint64_t historyClock() {
+  static std::atomic<uint64_t> Ticks{1};
+  return Ticks.fetch_add(1, std::memory_order_seq_cst);
+}
+
+/// One completed high-level operation. Invoke/Response are stamps from
+/// historyClock(): Op A precedes Op B in real time iff
 /// A.Response < B.Invoke (§2.1's ->_H relation).
 struct CompletedOp {
   SetOp Op;
@@ -87,14 +101,14 @@ private:
   std::vector<ThreadLog> Logs;
 };
 
-/// Runs \p Fn as one timed operation and records it: the standard
-/// pattern for instrumenting an op call site.
+/// Runs \p Fn as one operation stamped by historyClock() and records
+/// it: the standard pattern for instrumenting an op call site.
 template <class Fn>
 bool recordOp(HistoryRecorder::ThreadLog &Log, SetOp Op, SetKey Key,
-              Fn &&Call, uint64_t (*Clock)()) {
-  const uint64_t Invoke = Clock();
+              Fn &&Call) {
+  const uint64_t Invoke = historyClock();
   const bool Result = Call();
-  const uint64_t Response = Clock();
+  const uint64_t Response = historyClock();
   Log.record(Op, Key, Result, Invoke, Response);
   return Result;
 }

@@ -11,6 +11,9 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <fstream>
+#include <string>
+#include <thread>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -27,6 +30,10 @@ namespace {
 /// operation concurrency (ops whose real-time intervals are still open),
 /// which stays small even when an oversubscribed thread is preempted
 /// mid-operation and its interval stretches over hundreds of later ops.
+///
+/// Failed states are memoized by their exact encoding, never a hash: a
+/// colliding hash would prune a live branch and report a violation the
+/// history does not have.
 class SingleKeySearch {
 public:
   SingleKeySearch(std::vector<CompletedOp> OpsIn, bool Present)
@@ -42,7 +49,11 @@ public:
           std::min(SuffixMinResp[I], Ops[I - 1].Response);
   }
 
-  bool run() { return dfs(0, {}, InitialPresent); }
+  LinVerdict run() {
+    if (dfs(0, {}, InitialPresent))
+      return LinVerdict::Linearizable;
+    return Exhausted ? LinVerdict::Inconclusive : LinVerdict::Violation;
+  }
 
 private:
   /// Applies one operation's contract to the presence bit. Returns
@@ -74,13 +85,25 @@ private:
     vbl_unreachable("covered switch");
   }
 
-  static uint64_t hashState(size_t Frontier,
-                            const std::vector<uint32_t> &Holes,
-                            bool Present) {
-    uint64_t H = Frontier * 0x9e3779b97f4a7c15ULL + (Present ? 1 : 0);
-    for (uint32_t Hole : Holes)
-      H = (H ^ Hole) * 0xff51afd7ed558ccdULL;
-    return H;
+  /// Exact memo key: (Frontier, Present) then the sorted holes, each
+  /// as a base-128 varint of its distance below the previous one.
+  /// Holes sit just below the frontier, so most encode in one byte.
+  static std::string encodeState(size_t Frontier,
+                                 const std::vector<uint32_t> &Holes,
+                                 bool Present) {
+    std::string Key;
+    const auto Put = [&Key](uint64_t V) {
+      for (; V >= 0x80; V >>= 7)
+        Key.push_back(static_cast<char>((V & 0x7f) | 0x80));
+      Key.push_back(static_cast<char>(V));
+    };
+    Put((uint64_t{Frontier} << 1) | (Present ? 1 : 0));
+    uint64_t Prev = Frontier;
+    for (auto It = Holes.rbegin(); It != Holes.rend(); ++It) {
+      Put(Prev - *It);
+      Prev = *It;
+    }
+    return Key;
   }
 
   /// Linearizes op \p I from state (Frontier, Holes): ops in Holes and
@@ -105,12 +128,15 @@ private:
   bool dfs(size_t Frontier, std::vector<uint32_t> Holes, bool Present) {
     if (Frontier == Ops.size() && Holes.empty())
       return true;
+    if (Exhausted)
+      return false;
     std::sort(Holes.begin(), Holes.end());
-    if (!Visited.insert(hashState(Frontier, Holes, Present)).second)
-      return false; // Explored (and failed) before. Hash collisions
-                    // could only cause a false "not linearizable", and
-                    // 64-bit collisions over these state counts are
-                    // beyond negligible.
+    if (!Visited.insert(encodeState(Frontier, Holes, Present)).second)
+      return false; // Explored (and failed) before.
+    if (Visited.size() > MaxSearchStates) {
+      Exhausted = true;
+      return false;
+    }
 
     // An op can be linearized first iff it is invoked before every
     // remaining op's response (Wing-Gong candidate rule).
@@ -132,15 +158,38 @@ private:
   std::vector<CompletedOp> Ops;
   std::vector<uint64_t> SuffixMinResp;
   bool InitialPresent;
-  std::unordered_set<uint64_t> Visited;
+  std::unordered_set<std::string> Visited;
+  bool Exhausted = false;
 };
 
 } // namespace
 
-bool vbl::lin::checkSingleKeyHistory(std::vector<CompletedOp> Ops,
-                                     bool InitiallyPresent) {
+const char *vbl::lin::linVerdictName(LinVerdict V) {
+  switch (V) {
+  case LinVerdict::Linearizable:
+    return "Linearizable";
+  case LinVerdict::Violation:
+    return "Violation";
+  case LinVerdict::Inconclusive:
+    return "Inconclusive";
+  }
+  return "Unknown";
+}
+
+LinVerdict vbl::lin::checkSingleKeyHistory(std::vector<CompletedOp> Ops,
+                                           bool InitiallyPresent) {
   SingleKeySearch Search(std::move(Ops), InitiallyPresent);
   return Search.run();
+}
+
+std::string vbl::lin::hostContext() {
+  std::string Clock = "unknown";
+  std::ifstream In(
+      "/sys/devices/system/clocksource/clocksource0/current_clocksource");
+  if (In)
+    In >> Clock;
+  return "nproc=" + std::to_string(std::thread::hardware_concurrency()) +
+         " clocksource=" + Clock;
 }
 
 std::vector<CompletedOp>
@@ -171,16 +220,29 @@ LinResult vbl::lin::checkSetHistory(
   std::unordered_set<SetKey> Initial(InitialKeys.begin(),
                                      InitialKeys.end());
 
+  // A violation on any key decides the history; budget exhaustion on
+  // one key only downgrades the verdict, so keep checking the rest.
   LinResult Result;
   for (auto &[Key, Ops] : PerKey) {
-    if (checkSingleKeyHistory(Ops, Initial.count(Key) == 1))
-      continue;
-    Result.Ok = false;
-    Result.ViolatingKey = Key;
-    Result.Message = "no linearization exists for the " +
-                     std::to_string(Ops.size()) +
-                     " operations on key " + std::to_string(Key);
-    return Result;
+    const size_t Count = Ops.size();
+    const LinVerdict V = checkSingleKeyHistory(std::move(Ops),
+                                               Initial.count(Key) == 1);
+    if (V == LinVerdict::Violation) {
+      Result.Verdict = V;
+      Result.ViolatingKey = Key;
+      Result.Message = "no linearization exists for the " +
+                       std::to_string(Count) + " operations on key " +
+                       std::to_string(Key);
+      return Result;
+    }
+    if (V == LinVerdict::Inconclusive && Result.ok()) {
+      Result.Verdict = V;
+      Result.ViolatingKey = Key;
+      Result.Message = "inconclusive: the search over the " +
+                       std::to_string(Count) + " operations on key " +
+                       std::to_string(Key) + " exceeded " +
+                       std::to_string(MaxSearchStates) + " states";
+    }
   }
   return Result;
 }

@@ -17,9 +17,11 @@
 /// turns an NP-hard general problem into independent small searches.
 ///
 /// Each per-key projection is decided with Wing-Gong style DFS over
-/// linearization prefixes, memoized on (frontier index, done-mask,
-/// presence): cost n * 2^w where w is the history's maximal per-key
-/// concurrency (bounded by the thread count), not its length.
+/// linearization prefixes, memoized exactly on (frontier index, sorted
+/// holes, presence): cost n * 2^w where w is the history's maximal
+/// per-key concurrency (bounded by the thread count), not its length.
+/// A search that visits more than MaxSearchStates states gives up with
+/// an Inconclusive verdict — never a violation it could not prove.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -28,19 +30,40 @@
 
 #include "lin/History.h"
 
+#include <cstddef>
 #include <string>
 #include <vector>
 
 namespace vbl {
 namespace lin {
 
+/// Per-key search budget: distinct (frontier, holes, presence) states
+/// one single-key search may memoize before it gives up. Fixed, so a
+/// verdict never depends on the environment; 20x above the peak the
+/// recorded stress suites reach (~5e4 states for 6000 ops on one key).
+inline constexpr size_t MaxSearchStates = size_t(1) << 20;
+
+/// Three-way outcome: a search that runs out of budget proves nothing.
+enum class LinVerdict : uint8_t {
+  Linearizable, ///< A linearization exists for every key.
+  Violation,    ///< Some key's projection provably has none.
+  Inconclusive, ///< No violation found, but some key's search hit
+                ///  MaxSearchStates before deciding.
+};
+
+/// Stable name of \p V ("Linearizable", "Violation", "Inconclusive").
+const char *linVerdictName(LinVerdict V);
+
 /// Outcome of a linearizability check.
 struct LinResult {
-  bool Ok = true;
-  /// When !Ok: the key whose projection has no linearization.
+  LinVerdict Verdict = LinVerdict::Linearizable;
+  /// When not Linearizable: the key that was violated (or, for
+  /// Inconclusive, the first key whose search ran out of budget).
   SetKey ViolatingKey = 0;
-  /// Human-readable description of the violation for test output.
+  /// Human-readable description of the verdict for test output.
   std::string Message;
+
+  bool ok() const { return Verdict == LinVerdict::Linearizable; }
 };
 
 /// Checks a complete history of set operations, starting from a set
@@ -54,8 +77,13 @@ LinResult checkSetHistory(const std::vector<CompletedOp> &History,
 
 /// Checks a single-key projection against a boolean presence object.
 /// Exposed for unit tests; \p Ops need not be sorted.
-bool checkSingleKeyHistory(std::vector<CompletedOp> Ops,
-                           bool InitiallyPresent);
+LinVerdict checkSingleKeyHistory(std::vector<CompletedOp> Ops,
+                                 bool InitiallyPresent);
+
+/// Host facts a stress failure needs for replay: "nproc=N
+/// clocksource=NAME" (the clocksource read from sysfs, "unknown" where
+/// unavailable). Some interleavings only occur with several cores.
+std::string hostContext();
 
 /// Lowers range scans to per-key Contains observations suitable for
 /// checkSetHistory: for every key of \p Universe inside a scan's

@@ -11,17 +11,14 @@
 #include "core/VblList.h"
 #include "lists/CoarseList.h"
 #include "lists/HandOverHandList.h"
-#include "lists/HarrisList.h"
 #include "lists/HarrisMichaelList.h"
 #include "lists/HarrisMichaelListHp.h"
 #include "lists/LazyList.h"
 #include "lists/LazySkipList.h"
 #include "lists/OptimisticList.h"
-#include "lists/TombstoneBst.h"
 #include "maps/SplitOrderedHashSet.h"
 #include "reclaim/LeakyDomain.h"
 #include "reclaim/VbrDomain.h"
-#include "sync/VersionedLock.h"
 
 #include <algorithm>
 #include <utility>
@@ -65,13 +62,10 @@ using VblNodeAware =
     VblList<reclaim::EpochDomain, DirectPolicy, TasLock,
             /*RestartFromPrev=*/true, /*ValueAware=*/false>;
 using VblTtas = VblList<reclaim::EpochDomain, DirectPolicy, TtasLock>;
-using VblVersioned =
-    VblList<reclaim::EpochDomain, DirectPolicy, VersionedLock>;
 using LazyDefault = LazyList<>;
 using LazyLeaky = LazyList<reclaim::LeakyDomain>;
 using HarrisMichaelDefault = HarrisMichaelList<>;
 using HarrisMichaelLeaky = HarrisMichaelList<reclaim::LeakyDomain>;
-using HarrisDefault = HarrisList<>;
 using OptimisticDefault = OptimisticList<>;
 using HandOverHandDefault = HandOverHandList<>;
 // Split-ordered hash overlays (src/maps) over the paper's substrates.
@@ -91,29 +85,6 @@ using LazyVbr = LazyList<reclaim::VbrDomain>;
 using VblChunkVbr = VblChunkList<7, reclaim::VbrDomain>;
 using SoHashVblVbr = maps::SplitOrderedHashSet<VblVbr>;
 using SoHashHmHp = maps::SplitOrderedHashSet<HarrisMichaelListHp>;
-// Resizable hash variants: shrink enabled, so the bucket index follows
-// the population both ways (grow at load factor 4, halve once the held
-// count falls under a quarter of the grow trigger). Displaced indexes
-// retire through the substrate's own domain.
-struct ResizeHashConfig {
-  static HashSetConfig config() {
-    HashSetConfig C;
-    C.InitialBuckets = 16;
-    C.GrowLoadFactor = 4;
-    C.MinBuckets = 1;
-    C.ShrinkDivisor = 4;
-    C.EnableShrink = true;
-    return C;
-  }
-};
-using SoHashHmResize =
-    maps::SplitOrderedHashSet<HarrisMichaelDefault, ResizeHashConfig>;
-using SoHashVblResize =
-    maps::SplitOrderedHashSet<VblDefault, ResizeHashConfig>;
-using SoHashVblVbrResize =
-    maps::SplitOrderedHashSet<VblVbr, ResizeHashConfig>;
-using SoHashHmHpResize =
-    maps::SplitOrderedHashSet<HarrisMichaelListHp, ResizeHashConfig>;
 // Contention-adaptive chunking: splits hot chunks toward small
 // effective K, merges cold runs toward large K, both piggybacked on the
 // freeze-and-replace protocol.
@@ -127,8 +98,6 @@ static const RegistryEntry Registry[] = {
      "lazy list (Heller et al.); substrate=flat domain=ebr lock=tas"},
     {"harris-michael", &makeAdapter<HarrisMichaelDefault>,
      "Harris-Michael CAS list; substrate=flat domain=ebr lock=none"},
-    {"harris", &makeAdapter<HarrisDefault>,
-     "Harris list (deferred unlink); substrate=flat domain=ebr lock=none"},
     {"optimistic", &makeAdapter<OptimisticDefault>,
      "optimistic re-traversal validation; substrate=flat domain=ebr "
      "lock=tas"},
@@ -154,9 +123,6 @@ static const RegistryEntry Registry[] = {
     {"vbl-ttas", &makeAdapter<VblTtas>,
      "VBL over test-and-test-and-set locks; substrate=flat domain=ebr "
      "lock=ttas"},
-    {"vbl-versioned", &makeAdapter<VblVersioned>,
-     "VBL over seqlock-style versioned locks; substrate=flat domain=ebr "
-     "lock=versioned"},
     {"harris-michael-hp", &makeAdapter<HarrisMichaelListHp>,
      "Harris-Michael over hazard pointers; substrate=flat domain=hp "
      "lock=none"},
@@ -174,8 +140,6 @@ static const RegistryEntry Registry[] = {
      "lock=chunk-seqlock"},
     {"skiplist-lazy", &makeAdapter<LazySkipList<>>,
      "lazy skip list; substrate=skiplist domain=ebr lock=tas"},
-    {"bst-tombstone", &makeAdapter<TombstoneBst<>>,
-     "tombstone-delete BST; substrate=bst domain=ebr lock=tas"},
     {"vbl-vbr", &makeAdapter<VblVbr>,
      "VBL over version-based reclamation; substrate=flat domain=vbr "
      "lock=tas"},
@@ -200,21 +164,6 @@ static const RegistryEntry Registry[] = {
     {"so-hash-hm-hp", &makeAdapter<SoHashHmHp>,
      "split-ordered hash over Harris-Michael+HP; substrate=hash/flat "
      "domain=hp lock=none keys=[0,2^62)", /*FullKeyDomain=*/false},
-    {"so-hash-hm-resize", &makeAdapter<SoHashHmResize>,
-     "split-ordered hash over Harris-Michael, grow+shrink index; "
-     "substrate=hash/flat domain=ebr lock=none keys=[0,2^62)",
-     /*FullKeyDomain=*/false},
-    {"so-hash-vbl-resize", &makeAdapter<SoHashVblResize>,
-     "split-ordered hash over VBL, grow+shrink index; substrate=hash/flat "
-     "domain=ebr lock=tas keys=[0,2^62)", /*FullKeyDomain=*/false},
-    {"so-hash-vbl-vbr-resize", &makeAdapter<SoHashVblVbrResize>,
-     "split-ordered hash over VBL+VBR, grow+shrink index; "
-     "substrate=hash/flat domain=vbr lock=tas keys=[0,2^62)",
-     /*FullKeyDomain=*/false},
-    {"so-hash-hm-hp-resize", &makeAdapter<SoHashHmHpResize>,
-     "split-ordered hash over Harris-Michael+HP, grow+shrink index; "
-     "substrate=hash/flat domain=hp lock=none keys=[0,2^62)",
-     /*FullKeyDomain=*/false},
 };
 
 std::unique_ptr<ConcurrentSet> vbl::makeSet(const std::string &Name) {

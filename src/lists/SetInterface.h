@@ -74,6 +74,8 @@ public:
   virtual std::vector<SetKey> snapshot() const = 0;
   /// Quiescent-only: structural invariants of the underlying list.
   virtual bool checkInvariants() const = 0;
+  /// Bucket-index capacity of a hash set; 0 for lists (no index).
+  virtual size_t bucketCount() const { return 0; }
 
   /// Registry name of the algorithm backing this instance.
   virtual const std::string &name() const = 0;
@@ -174,6 +176,12 @@ public:
   }
   std::vector<SetKey> snapshot() const override { return List.snapshot(); }
   bool checkInvariants() const override { return List.checkInvariants(); }
+  size_t bucketCount() const override {
+    if constexpr (detail::HasBucketCount<ListT>::value)
+      return List.bucketCount();
+    else
+      return 0;
+  }
   const std::string &name() const override { return Name; }
 
   ListT &underlying() { return List; }

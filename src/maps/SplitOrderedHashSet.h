@@ -55,13 +55,13 @@
 /// keeps only the returned dummy handle, which is immortal and correct
 /// independent of any index. See loadIndex/indexStillCurrent.
 ///
-/// When/whether to resize is the ResizePolicy carried by HashSetConfig
-/// (core/SetConfig.h): grow past GrowLoadFactor keys per bucket, shrink
-/// (if enabled) once occupancy falls below 1/ShrinkDivisor of the grow
-/// trigger — the hysteresis gap keeps a freshly swapped table from
-/// immediately qualifying for the opposite swap. Construction validates
-/// the config and refuses misconfiguration with a named
-/// HashSetConfigError instead of silently rounding.
+/// When to resize is the policy carried by HashSetConfig
+/// (core/SetConfig.h): the index always sizes itself both ways — grow
+/// past GrowLoadFactor keys per bucket, shrink once occupancy falls
+/// below 1/ShrinkDivisor of the grow trigger. The hysteresis gap keeps
+/// a freshly swapped table from immediately qualifying for the opposite
+/// swap. Construction validates the config and refuses misconfiguration
+/// with a named HashSetConfigError instead of silently rounding.
 ///
 /// All shared accesses flow through the substrate's Policy, so the hash
 /// layer runs under the deterministic scheduler and the happens-before
@@ -91,18 +91,7 @@
 namespace vbl {
 namespace maps {
 
-/// Default construction-time config source: the HashSetConfig defaults
-/// (grow-only, 16 initial buckets). Registry entries that want a
-/// different default-constructed shape (the `-resize` variants enable
-/// shrinking) pass their own provider type so SetAdapter's
-/// default-construction path keeps working.
-struct DefaultHashSetConfigProvider {
-  static HashSetConfig config() { return HashSetConfig{}; }
-};
-
-template <class SubstrateT,
-          class ConfigProviderT = DefaultHashSetConfigProvider>
-class SplitOrderedHashSet {
+template <class SubstrateT> class SplitOrderedHashSet {
 public:
   using Substrate = SubstrateT;
   using Reclaim = typename SubstrateT::Reclaim;
@@ -119,17 +108,7 @@ public:
     MaxCapacityEver.store(Cfg.InitialBuckets, std::memory_order_relaxed);
   }
 
-  SplitOrderedHashSet() : SplitOrderedHashSet(ConfigProviderT::config()) {}
-
-  /// Legacy shape: grow-only with the classic three knobs. Values must
-  /// be valid powers of two — the old silent round-up path is gone;
-  /// misconfiguration dies with a named HashSetConfigError.
-  explicit SplitOrderedHashSet(size_t InitialBuckets,
-                               size_t MaxLoadFactor = 4,
-                               size_t MaxBuckets = size_t(1) << 22)
-      : SplitOrderedHashSet(legacyConfig(ConfigProviderT::config(),
-                                         InitialBuckets, MaxLoadFactor,
-                                         MaxBuckets)) {}
+  SplitOrderedHashSet() : SplitOrderedHashSet(HashSetConfig{}) {}
 
   ~SplitOrderedHashSet() {
     BucketIndex::destroy(Index.load(std::memory_order_relaxed));
@@ -343,19 +322,6 @@ private:
     return C;
   }
 
-  /// The legacy three-knob constructor overlaid on the provider's
-  /// config (so a shrink-enabled provider keeps its policy fields).
-  static HashSetConfig legacyConfig(HashSetConfig C, size_t InitialBuckets,
-                                    size_t MaxLoadFactor,
-                                    size_t MaxBuckets) {
-    C.InitialBuckets = InitialBuckets;
-    C.GrowLoadFactor = MaxLoadFactor;
-    C.MaxBuckets = MaxBuckets;
-    if (C.MinBuckets > InitialBuckets)
-      C.MinBuckets = 1;
-    return C;
-  }
-
   /// Current index, safe to dereference for the rest of the operation —
   /// provided no substrate call intervenes (see indexStillCurrent). HP
   /// publishes the pointer in a hazard slot; everywhere else the
@@ -522,13 +488,10 @@ private:
   }
 
   /// Halves the bucket index once occupancy falls below the hysteresis
-  /// watermark (1/ShrinkDivisor of the grow trigger), if shrinking is
-  /// enabled. The dummies of buckets [Cap/2, Cap) stay in the list as
+  /// watermark (1/ShrinkDivisor of the grow trigger). The dummies of buckets [Cap/2, Cap) stay in the list as
   /// orphans — sentinels are never removed — and a later grow
   /// re-memoizes them via get-or-insert agreement.
   void maybeShrink(int64_t NewCount, Guard &G) {
-    if (!Cfg.EnableShrink)
-      return;
     BucketIndex *I = loadIndex(G);
     const size_t Cap = Policy::readValue(I->Capacity, I);
     if (Cap <= Cfg.MinBuckets)

@@ -17,13 +17,17 @@
 ///     never-reused 64-bit id.
 ///
 /// The global mutex is taken only on attach, detach, domain construction
-/// and destruction — never on the guard fast path.
+/// and destruction — never on the guard fast path. A thread that
+/// outlives many domains does not accumulate their dead entries: each
+/// slow-path attach prunes them under the mutex it already holds, so
+/// the per-thread registry stays bounded by the live domains it uses.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef VBL_RECLAIM_DOMAINREGISTRY_H
 #define VBL_RECLAIM_DOMAINREGISTRY_H
 
+#include <cstddef>
 #include <cstdint>
 #include <mutex>
 #include <unordered_set>
@@ -104,10 +108,22 @@ inline void *findThreadRecord(uint64_t DomainId) {
 }
 
 /// Remembers that this thread holds \p Record of \p Domain so the record
-/// is returned when the thread exits.
+/// is returned when the thread exits, first dropping this thread's
+/// entries for domains that have since been destroyed.
 inline void rememberThreadRecord(uint64_t DomainId, void *Domain,
                                  void *Record, DetachFn Detach) {
-  detail::tlsRegistry().Entries.push_back({DomainId, Domain, Record, Detach});
+  detail::RegistryState &State = detail::registryState();
+  auto &Entries = detail::tlsRegistry().Entries;
+  std::lock_guard<std::mutex> Lock(State.Mutex);
+  std::erase_if(Entries, [&State](const detail::TlsEntry &Entry) {
+    return State.LiveDomains.count(Entry.DomainId) == 0;
+  });
+  Entries.push_back({DomainId, Domain, Record, Detach});
+}
+
+/// Number of entries in this thread's registry (regression tests).
+inline size_t threadRecordCount() {
+  return detail::tlsRegistry().Entries.size();
 }
 
 /// Forgets any record this thread holds for \p DomainId (used by domains

@@ -300,7 +300,7 @@ CorrectnessResult vbl::sched::checkScheduleCorrect(
     InitialKeys.push_back(InitialChain[I].second);
 
   const lin::LinResult Lin = lin::checkSetHistory(History, InitialKeys);
-  if (!Lin.Ok) {
+  if (!Lin.ok()) {
     Result.Linearizable = false;
     Result.Error = "sigma-bar(v) not linearizable: " + Lin.Message;
   }

@@ -11,13 +11,13 @@
 /// scheduler step of EVERY explored interleaving, and asserts ZERO
 /// violations:
 ///
-///  - flat lists: VblList, LazyList, HarrisMichaelList, HarrisList,
-///    OptimisticList, HandOverHandList;
+///  - flat lists: VblList, LazyList, HarrisMichaelList, OptimisticList,
+///    HandOverHandList;
 ///  - the unrolled VblChunkList for K in {1, 2, 7, 15} (K=1 maximizes
 ///    freeze/replace churn, K=2 mixes slot and structural paths, 7 and
 ///    15 cover multi-slot intervals with interior splits);
 ///  - the split-ordered hash set over both substrates, built with
-///    InitialBuckets=1 / MaxLoadFactor=1 so resizes and lazy dummy
+///    InitialBuckets=1 / GrowLoadFactor=1 so resizes and lazy dummy
 ///    splicing interleave with the flow snapshots.
 ///
 /// Episodes run under plain TracedPolicy — the oracle only needs the
@@ -31,7 +31,6 @@
 #include "core/VblChunkList.h"
 #include "core/VblList.h"
 #include "lists/HandOverHandList.h"
-#include "lists/HarrisList.h"
 #include "lists/HarrisMichaelList.h"
 #include "lists/LazyList.h"
 #include "lists/OptimisticList.h"
@@ -109,11 +108,6 @@ TEST(FlowCheckerTest, HarrisMichaelListIsFlowClean) {
       "HarrisMichaelList");
 }
 
-TEST(FlowCheckerTest, HarrisListIsFlowClean) {
-  expectFlowCleanLists<HarrisList<reclaim::LeakyDomain, TracedPolicy>>(
-      "HarrisList");
-}
-
 TEST(FlowCheckerTest, OptimisticListIsFlowClean) {
   expectFlowCleanLists<
       OptimisticList<reclaim::LeakyDomain, TasLock, TracedPolicy>>(
@@ -147,8 +141,10 @@ TEST(FlowCheckerTest, ChunkListK15IsFlowClean) {
 
 template <class HashT> void expectFlowCleanHash(const char *SetName) {
   expectFlowCleanCorpus(SetName, hashSetScenarios(), [] {
-    return std::make_shared<HashT>(/*InitialBuckets=*/1,
-                                   /*MaxLoadFactor=*/1);
+    HashSetConfig C;
+    C.InitialBuckets = 1;
+    C.GrowLoadFactor = 1;
+    return std::make_shared<HashT>(C);
   });
 }
 

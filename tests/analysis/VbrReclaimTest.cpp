@@ -145,6 +145,54 @@ TEST(VbrReclaimTest, LazyListRolloverRecycleRaceFree) {
       "LazyList+VBR@wrap", 1500, ~uint64_t{0});
 }
 
+/// remove(5) certifies (head, 5) on its walk and then reads 5's
+/// successor, a node the walk never certified. Thread 0 removes 7 and
+/// inserts 6, reviving 7's block as 5's new successor; the remover is
+/// preempted after each of its own steps in turn while thread 0 runs
+/// to completion. When the revival lands between the remover's guard
+/// and its successor read, the successor's birth is newer than the
+/// guard's version, and a remover that retried without refreshing the
+/// version spun on the same failed lock forever. Every episode must
+/// finish, with both updates applied.
+TEST(VbrReclaimTest, VblListRemoveSurvivesRevivedSuccessor) {
+  using ListT = VblList<TracedVbrDomain, TracedPolicy>;
+  std::shared_ptr<ListT> Last;
+  EpisodeFactory Factory = [&Last]() -> Episode {
+    auto List = std::make_shared<ListT>();
+    List->insert(5);
+    List->insert(7);
+    Last = List;
+    Episode Ep;
+    Ep.HeadNode = List->headNode();
+    Ep.InitialChain = List->nodeChain();
+    Ep.Holder = List;
+    Ep.Bodies.push_back(std::function<void()>([List] {
+      tracedOp(SetOp::Remove, 7, [&] { return List->remove(7); });
+      tracedOp(SetOp::Insert, 6, [&] { return List->insert(6); });
+    }));
+    Ep.Bodies.push_back(std::function<void()>([List] {
+      tracedOp(SetOp::Remove, 5, [&] { return List->remove(5); });
+    }));
+    return Ep;
+  };
+  InterleavingExplorer Explorer(Factory);
+  size_t Revived = 0;
+  for (std::vector<unsigned> Forced;; Forced.push_back(1)) {
+    std::vector<std::vector<unsigned>> Runnable;
+    const EpisodeResult R = Explorer.run(Forced, &Runnable);
+    ASSERT_FALSE(R.Deadlocked) << "remover preempted after "
+                               << Forced.size() << " steps";
+    EXPECT_EQ(Last->snapshot(), std::vector<SetKey>{6});
+    Revived += Last->reclaimDomain().reusedCount() > 0;
+    // Stop once the remover had no step left at the switch point.
+    if (Forced.size() >= Runnable.size() ||
+        std::count(Runnable[Forced.size()].begin(),
+                   Runnable[Forced.size()].end(), 1u) == 0)
+      break;
+  }
+  EXPECT_GT(Revived, 0u) << "no episode revived the removed block";
+}
+
 /// The VBR scenario set (stamp-vs-validate and friends) plus the shared
 /// corpus, race-checked against the real VBR domain: guard snapshots,
 /// birth stamps, clock bumps and freelist transfers are all traced

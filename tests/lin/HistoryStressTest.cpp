@@ -17,11 +17,11 @@
 #include "lists/SetInterface.h"
 #include "support/Barrier.h"
 #include "support/Random.h"
-#include "support/Timing.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -78,9 +78,9 @@ void runAndCheck(const std::string &Algo, unsigned NumThreads,
           Scan.Lo = Key;
           Scan.Hi = Hi;
           Scan.Thread = T;
-          Scan.Invoke = nowNanos();
+          Scan.Invoke = historyClock();
           Set->rangeQuery(Key, Hi, Scan.Keys);
-          Scan.Response = nowNanos();
+          Scan.Response = historyClock();
           ScanLogs[T].push_back(std::move(Scan));
           continue;
         }
@@ -88,17 +88,17 @@ void runAndCheck(const std::string &Algo, unsigned NumThreads,
         case 0:
           recordOp(
               Log, SetOp::Insert, Key,
-              [&] { return Set->insert(Key); }, &nowNanos);
+              [&] { return Set->insert(Key); });
           break;
         case 1:
           recordOp(
               Log, SetOp::Remove, Key,
-              [&] { return Set->remove(Key); }, &nowNanos);
+              [&] { return Set->remove(Key); });
           break;
         default:
           recordOp(
               Log, SetOp::Contains, Key,
-              [&] { return Set->contains(Key); }, &nowNanos);
+              [&] { return Set->contains(Key); });
           break;
         }
       }
@@ -123,13 +123,21 @@ void runAndCheck(const std::string &Algo, unsigned NumThreads,
     for (CompletedOp &Op : decomposeScans(AllScans, Universe))
       History.push_back(std::move(Op));
   }
+  // Everything needed to replay a failure: backend, seed, the shape of
+  // the run, and the host (some interleavings need several cores).
+  const std::string Replay = Algo + " seed=" + std::to_string(Seed) +
+                             " threads=" + std::to_string(NumThreads) +
+                             " range=" + std::to_string(KeyRange) + " " +
+                             hostContext();
   const LinResult Result = checkSetHistory(History, Initial);
-  EXPECT_TRUE(Result.Ok) << Algo << ": " << Result.Message;
+  EXPECT_TRUE(Result.ok()) << Replay << ": "
+                           << linVerdictName(Result.Verdict) << ": "
+                           << Result.Message;
 
   // The final snapshot must extend the history linearizably too: append
   // one contains per key and re-check (the sigma-bar(v) idea of §2.2).
   std::vector<CompletedOp> Extended = Recorder.merged();
-  const uint64_t End = nowNanos();
+  const uint64_t End = historyClock();
   const std::vector<SetKey> Final = Set->snapshot();
   std::vector<bool> Present(static_cast<size_t>(KeyRange), false);
   for (SetKey Key : Final)
@@ -139,7 +147,9 @@ void runAndCheck(const std::string &Algo, unsigned NumThreads,
                         Present[static_cast<size_t>(Key)], End + 1,
                         End + 2, 0});
   const LinResult ExtResult = checkSetHistory(Extended, Initial);
-  EXPECT_TRUE(ExtResult.Ok) << Algo << " extended: " << ExtResult.Message;
+  EXPECT_TRUE(ExtResult.ok()) << Replay << " extended: "
+                              << linVerdictName(ExtResult.Verdict) << ": "
+                              << ExtResult.Message;
 }
 
 } // namespace

@@ -9,7 +9,7 @@
 /// AnalyzedPolicy through the hash scenario corpus and asserts the
 /// happens-before detector finds ZERO races in every explored
 /// interleaving. The sets are built with InitialBuckets=1 and
-/// MaxLoadFactor=1 so episode inserts trigger bucket-index growth and
+/// GrowLoadFactor=1 so episode inserts trigger bucket-index growth and
 /// lazy dummy splicing concurrently with the other thread — the
 /// resize-vs-insert pairing is explored, not just steady-state ops.
 ///
@@ -51,8 +51,10 @@ template <class HashT> void expectRaceFreeHashCorpus(const char *SetName) {
   const size_t Cap = episodeCap();
   for (const Scenario &S : hashSetScenarios()) {
     InterleavingExplorer Explorer(factoryForWith(S, [] {
-      return std::make_shared<HashT>(/*InitialBuckets=*/1,
-                                     /*MaxLoadFactor=*/1);
+      HashSetConfig C;
+      C.InitialBuckets = 1;
+      C.GrowLoadFactor = 1;
+      return std::make_shared<HashT>(C);
     }));
     size_t Episodes = 0;
     size_t Accesses = 0;
@@ -83,9 +85,9 @@ TEST(HashSetAnalysisTest, VblBackendIsRaceFree) {
       "SplitOrderedHashSet<Vbl>");
 }
 
-/// Same drill over the resize corpus, against tables with shrink armed
-/// (GrowLoadFactor=1, ShrinkDivisor=2, MinBuckets=1): episode removes
-/// cross the shrink watermark, so halving index swaps interleave with
+/// Same drill over the resize corpus, against tables with minimal
+/// hysteresis (GrowLoadFactor=1, ShrinkDivisor=2, MinBuckets=1):
+/// episode removes cross the shrink watermark, so halving index swaps interleave with
 /// the other thread's traversal in-episode.
 template <class HashT>
 void expectRaceFreeResizeCorpus(const char *SetName) {
@@ -97,7 +99,6 @@ void expectRaceFreeResizeCorpus(const char *SetName) {
       C.GrowLoadFactor = 1;
       C.MinBuckets = 1;
       C.ShrinkDivisor = 2;
-      C.EnableShrink = true;
       return std::make_shared<HashT>(C);
     }));
     size_t Episodes = 0;
@@ -120,13 +121,13 @@ void expectRaceFreeResizeCorpus(const char *SetName) {
 TEST(HashSetAnalysisTest, HarrisMichaelResizeIsRaceFree) {
   expectRaceFreeResizeCorpus<maps::SplitOrderedHashSet<
       HarrisMichaelList<reclaim::LeakyDomain, AnalyzedPolicy>>>(
-      "SplitOrderedHashSet<HarrisMichael,resize>");
+      "SplitOrderedHashSet<HarrisMichael,churn>");
 }
 
 TEST(HashSetAnalysisTest, VblResizeIsRaceFree) {
   expectRaceFreeResizeCorpus<maps::SplitOrderedHashSet<
       VblList<reclaim::LeakyDomain, AnalyzedPolicy>>>(
-      "SplitOrderedHashSet<Vbl,resize>");
+      "SplitOrderedHashSet<Vbl,churn>");
 }
 
 } // namespace

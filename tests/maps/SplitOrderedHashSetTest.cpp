@@ -25,7 +25,6 @@
 #include "stats/Stats.h"
 #include "support/Barrier.h"
 #include "support/Random.h"
-#include "support/Timing.h"
 
 #include <gtest/gtest.h>
 
@@ -43,16 +42,21 @@ using VblHash = maps::SplitOrderedHashSet<VblList<>>;
 using HpHash = maps::SplitOrderedHashSet<HarrisMichaelListHp>;
 using VbrHash = maps::SplitOrderedHashSet<VblList<reclaim::VbrDomain>>;
 
-/// Shrink-enabled config used by the churn tests: tiny table, load
-/// factor 1 (aggressive growth), minimal hysteresis so the drain phase
-/// walks the index back down.
-HashSetConfig churnConfig() {
+/// Config with \p InitialBuckets buckets that grows past
+/// \p GrowLoadFactor keys per bucket (default hysteresis).
+HashSetConfig shape(size_t InitialBuckets, size_t GrowLoadFactor) {
   HashSetConfig C;
-  C.InitialBuckets = 1;
-  C.GrowLoadFactor = 1;
-  C.MinBuckets = 1;
+  C.InitialBuckets = InitialBuckets;
+  C.GrowLoadFactor = GrowLoadFactor;
+  return C;
+}
+
+/// Config used by the churn tests: tiny table, load factor 1
+/// (aggressive growth), minimal hysteresis so the drain phase walks the
+/// index back down.
+HashSetConfig churnConfig() {
+  HashSetConfig C = shape(1, 1);
   C.ShrinkDivisor = 2;
-  C.EnableShrink = true;
   return C;
 }
 
@@ -148,7 +152,7 @@ TEST(SplitOrderedHashSetTest, BasicOpsHarrisMichaelHp) { basicOps<HpHash>(); }
 
 template <class HashT> void growthSplitsBuckets() {
   // Tiny table + load factor 1: every few inserts double the index.
-  HashT Set(/*InitialBuckets=*/1, /*MaxLoadFactor=*/1);
+  HashT Set(shape(1, 1));
   EXPECT_EQ(Set.bucketCount(), 1u);
   constexpr SetKey N = 300;
   for (SetKey Key = 0; Key != N; ++Key)
@@ -158,7 +162,8 @@ template <class HashT> void growthSplitsBuckets() {
     ASSERT_TRUE(Set.contains(Key * 1315423911)) << Key;
   EXPECT_EQ(Set.sizeFast(), N);
   EXPECT_TRUE(Set.checkInvariants());
-  // Dummies survive removals; the structure stays consistent empty.
+  // Dummies survive removals (the index shrinks past them); the
+  // structure stays consistent empty.
   for (SetKey Key = 0; Key != N; ++Key)
     ASSERT_TRUE(Set.remove(Key * 1315423911));
   EXPECT_EQ(Set.sizeFast(), 0);
@@ -177,7 +182,7 @@ TEST(SplitOrderedHashSetTest, GrowthSplitsBucketsHarrisMichaelHp) {
 }
 
 template <class HashT> void differentialVsStdSet(uint64_t Seed) {
-  HashT Set(/*InitialBuckets=*/2, /*MaxLoadFactor=*/2);
+  HashT Set(shape(2, 2));
   std::set<SetKey> Model;
   Xoshiro256 Rng(Seed);
   for (int I = 0; I != 20000; ++I) {
@@ -210,7 +215,7 @@ TEST(SplitOrderedHashSetTest, DifferentialHarrisMichaelHp) {
   differentialVsStdSet<HpHash>(303);
 }
 
-/// Shrink-enabled differential: same model check, but the set breathes —
+/// Churn differential: same model check, but the set breathes —
 /// the drain phases exercise maybeShrink against live lookups.
 template <class HashT> void differentialWithShrink(uint64_t Seed) {
   HashT Set(churnConfig());
@@ -255,7 +260,7 @@ TEST(SplitOrderedHashSetTest, DifferentialShrinkVbl) {
 
 TEST(SplitOrderedHashSetTest, RegistryExposesHashSetsSeparately) {
   const auto HashNames = registeredHashSetNames();
-  ASSERT_EQ(HashNames.size(), 8u);
+  ASSERT_EQ(HashNames.size(), 4u);
   const auto ListNames = registeredSetNames();
   for (const std::string &Name : HashNames) {
     // Resolvable by name, but not enumerated with the full-domain lists
@@ -269,6 +274,29 @@ TEST(SplitOrderedHashSetTest, RegistryExposesHashSetsSeparately) {
     EXPECT_TRUE(Set->contains(7));
     EXPECT_TRUE(Set->remove(7));
     EXPECT_TRUE(Set->checkInvariants());
+  }
+}
+
+// Every registered hash set sizes itself both ways: filling grows the
+// index well past its initial capacity, draining walks it back down to
+// the MinBuckets floor, and the invariants hold at both extremes.
+TEST(SplitOrderedHashSetTest, RegistryHashSetsGrowThenShrink) {
+  const size_t MinBuckets = HashSetConfig{}.MinBuckets;
+  const size_t Initial = HashSetConfig{}.InitialBuckets;
+  constexpr SetKey N = 4096;
+  for (const std::string &Name : registeredHashSetNames()) {
+    auto Set = makeSet(Name);
+    ASSERT_NE(Set, nullptr) << Name;
+    ASSERT_EQ(Set->bucketCount(), Initial) << Name;
+    for (SetKey Key = 0; Key != N; ++Key)
+      ASSERT_TRUE(Set->insert(Key * 1315423911)) << Name;
+    EXPECT_GE(Set->bucketCount(), 16 * Initial) << Name;
+    EXPECT_TRUE(Set->checkInvariants()) << Name;
+    for (SetKey Key = 0; Key != N; ++Key)
+      ASSERT_TRUE(Set->remove(Key * 1315423911)) << Name;
+    EXPECT_EQ(Set->bucketCount(), MinBuckets) << Name;
+    EXPECT_TRUE(Set->snapshot().empty()) << Name;
+    EXPECT_TRUE(Set->checkInvariants()) << Name;
   }
 }
 
@@ -309,12 +337,10 @@ TEST(HashSetConfigTest, ValidateNamesEveryRejection) {
   EXPECT_EQ(validateHashSetConfig(C), HashSetConfigError::ZeroLoadFactor);
 
   C = HashSetConfig{};
-  C.EnableShrink = true;
   C.ShrinkDivisor = 1;
   EXPECT_EQ(validateHashSetConfig(C),
             HashSetConfigError::ShrinkDivisorTooSmall);
-  // Without shrink the divisor is ignored.
-  C.EnableShrink = false;
+  C.ShrinkDivisor = 2;
   EXPECT_EQ(validateHashSetConfig(C), HashSetConfigError::None);
 
   EXPECT_STREQ(hashSetConfigErrorName(HashSetConfigError::None), "None");
@@ -331,7 +357,7 @@ TEST(HashSetConfigTest, ValidateNamesEveryRejection) {
 // displaced segment flows through the substrate's reclamation domain.
 //===----------------------------------------------------------------===//
 
-/// Grows a shrink-enabled set to >= 256 buckets, drains it, and pulses
+/// Grows a set to >= 256 buckets, drains it, and pulses
 /// a little churn so the final halvings run; asserts the index returns
 /// to the MinBuckets low watermark while every key stays correct.
 /// Returns counter deltas so each domain's test can assert on segment
@@ -414,7 +440,7 @@ TEST(SplitOrderedHashSetTest, ShrinkChurnLeakyBounded) {
 template <class HashT> void concurrentStress() {
   // Force aggressive concurrent splitting: tiny initial table, load
   // factor 1, keys spread across the whole domain.
-  HashT Set(/*InitialBuckets=*/1, /*MaxLoadFactor=*/1);
+  HashT Set(shape(1, 1));
   constexpr unsigned Threads = 4;
   constexpr int OpsPerThread = 8000;
   constexpr uint64_t Range = 1024;
@@ -457,7 +483,7 @@ TEST(SplitOrderedHashSetTest, ConcurrentStressHarrisMichaelHp) {
   concurrentStress<HpHash>();
 }
 
-/// Phased concurrent churn against a shrink-enabled table: all threads
+/// Phased concurrent churn: all threads
 /// fill, then all drain, repeated — the table breathes under real
 /// parallelism while lookups race each swing.
 template <class HashT> void concurrentShrinkStress() {
@@ -532,17 +558,17 @@ void checkLinearizable(const std::string &Algo) {
         case 0:
           lin::recordOp(
               Log, SetOp::Insert, Key,
-              [&] { return Set->insert(Key); }, &nowNanos);
+              [&] { return Set->insert(Key); });
           break;
         case 1:
           lin::recordOp(
               Log, SetOp::Remove, Key,
-              [&] { return Set->remove(Key); }, &nowNanos);
+              [&] { return Set->remove(Key); });
           break;
         default:
           lin::recordOp(
               Log, SetOp::Contains, Key,
-              [&] { return Set->contains(Key); }, &nowNanos);
+              [&] { return Set->contains(Key); });
           break;
         }
       }
@@ -551,7 +577,7 @@ void checkLinearizable(const std::string &Algo) {
     Worker.join();
   const lin::LinResult Result =
       lin::checkSetHistory(Recorder.merged(), Initial);
-  EXPECT_TRUE(Result.Ok) << Algo << ": " << Result.Message;
+  EXPECT_TRUE(Result.ok()) << Algo << ": " << Result.Message;
 }
 
 TEST(SplitOrderedHashSetTest, LinearizableHarrisMichael) {
@@ -563,11 +589,8 @@ TEST(SplitOrderedHashSetTest, LinearizableVbl) {
 TEST(SplitOrderedHashSetTest, LinearizableHarrisMichaelHp) {
   checkLinearizable("so-hash-hm-hp");
 }
-TEST(SplitOrderedHashSetTest, LinearizableHarrisMichaelResize) {
-  checkLinearizable("so-hash-hm-resize");
-}
-TEST(SplitOrderedHashSetTest, LinearizableVblResize) {
-  checkLinearizable("so-hash-vbl-resize");
+TEST(SplitOrderedHashSetTest, LinearizableVblVbr) {
+  checkLinearizable("so-hash-vbl-vbr");
 }
 
 } // namespace

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <thread>
 #include <vector>
@@ -248,4 +249,28 @@ TEST(EpochDomain, GuardsNeverSeeFreedMemory) {
     Reader.join();
   delete Shared.load();
   EXPECT_FALSE(SawPoison.load());
+}
+
+TEST(EpochDomain, ThreadRegistryDropsDeadDomains) {
+  // A long-lived thread attaching to many short-lived domains must not
+  // keep one registry entry per dead domain: the stale entries used to
+  // pile up and slow every later slow-path lookup.
+  size_t MaxEntries = 0;
+  std::thread Worker([&] {
+    EpochDomain LongLived;
+    { EpochDomain::Guard G(LongLived); }
+    for (int I = 0; I != 10000; ++I) {
+      EpochDomain ShortLived;
+      EpochDomain::Guard G(ShortLived);
+      MaxEntries = std::max(MaxEntries, threadRecordCount());
+    }
+    // The live domain's entry survived every prune.
+    { EpochDomain::Guard G(LongLived); }
+    MaxEntries = std::max(MaxEntries, threadRecordCount());
+  });
+  Worker.join();
+  // The long-lived domain, the current short-lived one, and at most
+  // one dead entry not yet pruned.
+  EXPECT_LE(MaxEntries, 3u);
+  EXPECT_GE(MaxEntries, 2u);
 }

@@ -93,7 +93,7 @@ inline std::vector<Scenario> scenarios() {
 }
 
 /// Scenarios for the split-ordered hash sets (tests/maps). Driven
-/// against tables built with InitialBuckets=1, MaxLoadFactor=1 so that
+/// against tables built with InitialBuckets=1, GrowLoadFactor=1 so that
 /// episode inserts push the count over the load threshold and the
 /// bucket-index growth + lazy dummy splicing interleave with the other
 /// thread's operation — including the resize-vs-insert pairing the
@@ -124,8 +124,7 @@ inline std::vector<Scenario> hashSetScenarios() {
   };
 }
 
-/// Scenarios for shrink-enabled hash tables (the so-hash-*-resize
-/// configuration): built with InitialBuckets=1, GrowLoadFactor=1,
+/// Scenarios for hash tables with minimal shrink hysteresis: built with InitialBuckets=1, GrowLoadFactor=1,
 /// ShrinkDivisor=2, MinBuckets=1, so episode removes cross the shrink
 /// watermark and the halving index-swap interleaves with the other
 /// thread's operation — resize-vs-insert/remove, shrink-vs-contains,

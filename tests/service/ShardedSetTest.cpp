@@ -27,7 +27,6 @@
 #include "lin/LinChecker.h"
 #include "support/Barrier.h"
 #include "support/Random.h"
-#include "support/Timing.h"
 
 #include <gtest/gtest.h>
 
@@ -212,6 +211,7 @@ void concurrentLincheck(const std::string &Backend, unsigned Batch,
     Initial.push_back(Key);
   }
   constexpr unsigned Threads = 4;
+  constexpr uint64_t SeedBase = 91; // Thread T draws from SeedBase + T.
   lin::HistoryRecorder Recorder(Threads);
   SpinBarrier Barrier(Threads);
   std::vector<std::thread> Workers;
@@ -219,10 +219,10 @@ void concurrentLincheck(const std::string &Backend, unsigned Batch,
     Workers.emplace_back([&, T] {
       auto &Log = Recorder.threadLog(T);
       ShardedSet::Session Session = Front->openSession();
-      Xoshiro256 Rng(T + 91);
+      Xoshiro256 Rng(SeedBase + T);
       Barrier.arriveAndWait();
       const auto Drain = [&] {
-        const uint64_t Response = nowNanos();
+        const uint64_t Response = lin::historyClock();
         for (const BatchOp &Done : Session.takeCompleted())
           Log.record(Done.Op, Done.Key, Done.Result, Done.Tag,
                      Response);
@@ -233,7 +233,7 @@ void concurrentLincheck(const std::string &Backend, unsigned Batch,
         const SetOp Op = Kind == 0   ? SetOp::Insert
                          : Kind == 1 ? SetOp::Remove
                                      : SetOp::Contains;
-        Session.enqueue(Op, Key, nowNanos());
+        Session.enqueue(Op, Key, lin::historyClock());
         Drain();
       }
       Session.flush();
@@ -244,7 +244,11 @@ void concurrentLincheck(const std::string &Backend, unsigned Batch,
   EXPECT_TRUE(Front->checkInvariants()) << Backend;
   const lin::LinResult Result =
       lin::checkSetHistory(Recorder.merged(), Initial);
-  EXPECT_TRUE(Result.Ok) << Backend << ": " << Result.Message;
+  EXPECT_TRUE(Result.ok()) << Backend << " batch=" << Batch << " combine="
+                           << static_cast<int>(Mode) << " seed=" << SeedBase
+                           << " " << lin::hostContext() << ": "
+                           << lin::linVerdictName(Result.Verdict) << ": "
+                           << Result.Message;
 }
 
 TEST(ShardedSetTest, LinearizableBatched) {
@@ -307,7 +311,9 @@ TEST(ShardedSetTest, UnknownBackendSuggestsClosestNames) {
 
 TEST(ShardedSetTest, RegistryDescriptionsAreComplete) {
   const std::vector<SetDescription> All = registeredSetDescriptions();
-  EXPECT_GE(All.size(), 27u);
+  EXPECT_EQ(All.size(), 26u);
+  EXPECT_EQ(registeredSetNames().size(), 22u);
+  EXPECT_EQ(registeredHashSetNames().size(), 4u);
   for (const SetDescription &D : All) {
     EXPECT_FALSE(D.Describe.empty()) << D.Name;
     // Every described name must resolve through the factory.
@@ -318,6 +324,15 @@ TEST(ShardedSetTest, RegistryDescriptionsAreComplete) {
   const std::vector<std::string> Close = suggestSetNames("vbl-chunck");
   ASSERT_FALSE(Close.empty());
   EXPECT_EQ(Close.front(), "vbl-chunk");
+  // Removed backends stay removed; the benchmark's backends resolve.
+  for (const char *Gone :
+       {"harris", "bst-tombstone", "vbl-versioned", "so-hash-hm-resize",
+        "so-hash-vbl-resize", "so-hash-vbl-vbr-resize",
+        "so-hash-hm-hp-resize"})
+    EXPECT_EQ(makeSet(Gone), nullptr) << Gone;
+  for (const char *Used : {"vbl", "vbl-leaky", "lazy", "harris-michael",
+                           "vbl-chunk", "so-hash-vbl", "so-hash-vbl-vbr"})
+    EXPECT_NE(makeSet(Used), nullptr) << Used;
 }
 
 //===--------------------------------------------------------------===//

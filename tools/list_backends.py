@@ -10,7 +10,7 @@ suggestions pointing back here.
 Usage:
   tools/list_backends.py [--build-dir build] [--tsv]
   tools/list_backends.py --family hash      # split-ordered tables only
-  tools/list_backends.py --family resize    # grow+shrink variants
+  tools/list_backends.py --family adaptive  # contention-adaptive chunks
   tools/list_backends.py --family vbr      # by reclaim domain
 """
 
@@ -29,7 +29,7 @@ def main():
     parser.add_argument("--family", default="",
                         help="only rows whose name or description "
                              "contains this substring (case-insensitive):"
-                             " e.g. hash, chunk, resize, adaptive, ebr,"
+                             " e.g. hash, chunk, adaptive, ebr,"
                              " vbr, hp")
     args = parser.parse_args()
 
