@@ -8,12 +8,11 @@
 /// Per-primitive costs of the reclamation substrate that replaces the
 /// paper's JVM GC: epoch guard enter/exit (paid once per list
 /// operation), the VBR version-clock snapshot (its cheaper equivalent),
-/// hazard-pointer protection (paid once per traversal hop in the HP
-/// variant), retire throughput for all three managed domains, and the
-/// node pool's recycle-vs-heap delta. Two families of numbers:
+/// retire throughput for both managed domains, and the node pool's
+/// recycle-vs-heap delta. Two families of numbers:
 ///
-///  - "guard/...", "protect/...", "retire/...": tight loops over a
-///    single primitive, reported as ops/second.
+///  - "guard/...", "retire/...": tight loops over a single primitive,
+///    reported as ops/second.
 ///  - "churn/...": full list workloads at high update ratio, run twice —
 ///    pool enabled and pool bypassed (NodePool::ScopedBypass) — so the
 ///    end-to-end benefit of recycling is a single ratio. These feed the
@@ -25,7 +24,6 @@
 
 #include "harness/BenchJson.h"
 #include "reclaim/EpochDomain.h"
-#include "reclaim/HazardPointerDomain.h"
 #include "reclaim/LeakyDomain.h"
 #include "reclaim/NodePool.h"
 #include "reclaim/VbrDomain.h"
@@ -239,19 +237,6 @@ int main(int Argc, char **Argv) {
            }));
   }
   {
-    HazardPointerDomain Domain;
-    std::atomic<int *> Source{new int(7)};
-    {
-      HazardPointerDomain::Guard G(Domain);
-      report(Report, "protect/hazard", 1,
-             measureLoop(Repeats, DurationMs, [&] {
-               int *P = G.protect(0, Source);
-               doNotOptimize(P);
-             }));
-    }
-    delete Source.load(std::memory_order_relaxed);
-  }
-  {
     // Guard per iteration: holding one guard across the whole loop
     // would pin the epoch and make every retirement unreclaimable — a
     // pathological pattern, not the one the lists use (guard per op).
@@ -270,13 +255,6 @@ int main(int Argc, char **Argv) {
            measureLoop(Repeats, DurationMs, [&] {
              EpochDomain::Guard G(Domain);
              poolRetire(Domain, poolCreate<int>(1));
-           }));
-  }
-  {
-    HazardPointerDomain Domain;
-    report(Report, "retire/hazard", 1,
-           measureLoop(Repeats, DurationMs, [&] {
-             Domain.retire(new int(1));
            }));
   }
   {

@@ -1,4 +1,4 @@
-//===- bench/reclamation_cost.cpp - 4-way reclamation comparison ---------===//
+//===- bench/reclamation_cost.cpp - 3-way reclamation comparison ---------===//
 //
 // Part of the VBL project: a reproduction of "Optimal Concurrency for
 // List-Based Sets" (PACT 2021).
@@ -17,8 +17,8 @@
 ///    immediate in-place reuse hands updaters cache-warm nodes — the
 ///    expectation (EXPERIMENTS.md) is that VBR closes most of the
 ///    EBR-to-leaky gap on update-heavy settings.
-///  - harris-michael: leaky vs EBR vs HP, the per-hop protect cost
-///    against the per-op announce.
+///  - harris-michael: leaky vs EBR, the lock-free comparator's price
+///    for the per-op announce.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -55,9 +55,8 @@ int main(int Argc, char **Argv) {
   Base.Seed = static_cast<uint64_t>(Flags.getInt("seed"));
 
   // Leaky first in every panel: it is the no-reclamation ceiling the
-  // managed domains are measured against. HP only exists for
-  // harris-michael (the lock-based lists have no per-hop protect
-  // point), so that panel swaps VBR's column for HP's.
+  // managed domains are measured against. VBR exists only for the
+  // lock-based lists, so the harris-michael panel has two columns.
   struct PanelSpec {
     const char *Title;
     std::vector<std::string> Algorithms;
@@ -67,8 +66,8 @@ int main(int Argc, char **Argv) {
       {"lazy: leaky vs EBR vs VBR", {"lazy-leaky", "lazy", "lazy-vbr"}},
       {"vbl-chunk: leaky vs EBR vs VBR",
        {"vbl-chunk-leaky", "vbl-chunk", "vbl-chunk-vbr"}},
-      {"harris-michael: leaky vs EBR vs HP",
-       {"harris-michael-leaky", "harris-michael", "harris-michael-hp"}},
+      {"harris-michael: leaky vs EBR",
+       {"harris-michael-leaky", "harris-michael"}},
   };
   BenchJsonReport Report;
   Report.setContext("bench_binary", "reclamation_cost");

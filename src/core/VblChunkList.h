@@ -1105,6 +1105,10 @@ private:
                                        &Slot, MemField::Val);
     }
     All[Total++] = Key;
+    // Occ holds at most ChunkKeys bits, so Total <= ChunkKeys + 1; say
+    // so, or gcc's -Warray-bounds cannot bound the sort below.
+    if (Total > All.size())
+      vbl_unreachable("structuralInsert: more live keys than slots");
     std::sort(All.begin(), All.begin() + static_cast<ptrdiff_t>(Total));
     Chunk *NextC = Policy::readCheck(Curr->Next, std::memory_order_acquire,
                                      Curr, MemField::Next);
@@ -1152,7 +1156,7 @@ private:
                   Policy::readCheck(Pred->Next, std::memory_order_acquire,
                                     Pred, MemField::Next) == Curr;
               if constexpr (Versioned) {
-                // Same hazard as structuralInsert: exclude a block that
+                // Same race as structuralInsert: exclude a block that
                 // was recycled into an unpublished chunk whose next
                 // pointer coincidentally equals Curr.
                 if (!Domain.validAt(Pred, G.version()))
@@ -1241,7 +1245,7 @@ private:
                   Policy::readCheck(Pred->Next, std::memory_order_acquire,
                                     Pred, MemField::Next) == Curr;
               if constexpr (Versioned) {
-                // Same hazard as tryUnlinkEmpty: exclude a block recycled
+                // Same race as tryUnlinkEmpty: exclude a block recycled
                 // into an unpublished chunk whose next pointer
                 // coincidentally equals Curr.
                 if (!Domain.validAt(Pred, G.version()))

@@ -50,7 +50,7 @@ public:
   }
 
   LinVerdict run() {
-    if (dfs(0, {}, InitialPresent))
+    if (search())
       return LinVerdict::Linearizable;
     return Exhausted ? LinVerdict::Inconclusive : LinVerdict::Violation;
   }
@@ -106,59 +106,96 @@ private:
     return Key;
   }
 
-  /// Linearizes op \p I from state (Frontier, Holes): ops in Holes and
-  /// ops at indices >= Frontier are remaining.
-  bool linearize(size_t I, size_t Frontier, std::vector<uint32_t> Holes,
-                 bool Present) {
-    bool NextPresent = Present;
-    if (!applyOp(Ops[I], Present, NextPresent))
-      return false;
-    if (I < Frontier) {
-      // I was a hole.
-      Holes.erase(std::find(Holes.begin(), Holes.end(),
-                            static_cast<uint32_t>(I)));
-      return dfs(Frontier, std::move(Holes), NextPresent);
-    }
-    // Ops [Frontier, I) were skipped over: they become holes.
-    for (size_t J = Frontier; J != I; ++J)
-      Holes.push_back(static_cast<uint32_t>(J));
-    return dfs(I + 1, std::move(Holes), NextPresent);
-  }
+  /// A search state whose candidates are being tried: ops in Holes
+  /// (sorted) and ops at indices >= Frontier are remaining. Next counts
+  /// the candidates tried so far — the holes first, then the ops from
+  /// the frontier on.
+  struct Frame {
+    size_t Frontier;
+    std::vector<uint32_t> Holes;
+    bool Present;
+    uint64_t MinResp;
+    size_t Next = 0;
+  };
 
-  bool dfs(size_t Frontier, std::vector<uint32_t> Holes, bool Present) {
+  enum class Entered { Goal, Failed, Pushed };
+
+  /// Enters state (Frontier, Holes, Present): the goal, a state that is
+  /// memoized or over budget, or a new frame on Stack.
+  Entered enter(size_t Frontier, std::vector<uint32_t> Holes,
+                bool Present) {
     if (Frontier == Ops.size() && Holes.empty())
-      return true;
+      return Entered::Goal;
     if (Exhausted)
-      return false;
+      return Entered::Failed;
     std::sort(Holes.begin(), Holes.end());
     if (!Visited.insert(encodeState(Frontier, Holes, Present)).second)
-      return false; // Explored (and failed) before.
+      return Entered::Failed; // Explored (and failed) before.
     if (Visited.size() > MaxSearchStates) {
       Exhausted = true;
-      return false;
+      return Entered::Failed;
     }
-
     // An op can be linearized first iff it is invoked before every
     // remaining op's response (Wing-Gong candidate rule).
     uint64_t MinResp = SuffixMinResp[Frontier];
     for (uint32_t Hole : Holes)
       MinResp = std::min(MinResp, Ops[Hole].Response);
+    Stack.push_back({Frontier, std::move(Holes), Present, MinResp});
+    return Entered::Pushed;
+  }
 
-    for (uint32_t Hole : Holes)
-      if (Ops[Hole].Invoke <= MinResp &&
-          linearize(Hole, Frontier, Holes, Present))
-        return true;
-    for (size_t I = Frontier;
-         I != Ops.size() && Ops[I].Invoke <= MinResp; ++I)
-      if (linearize(I, Frontier, Holes, Present))
-        return true;
-    return false;
+  /// Next op of \p F to try linearizing first, or SIZE_MAX when none
+  /// is left: holes in ascending order, then ops from the frontier on
+  /// until one is invoked after MinResp.
+  size_t nextCandidate(Frame &F) const {
+    while (F.Next < F.Holes.size()) {
+      const uint32_t Hole = F.Holes[F.Next++];
+      if (Ops[Hole].Invoke <= F.MinResp)
+        return Hole;
+    }
+    const size_t I = F.Frontier + (F.Next - F.Holes.size());
+    if (I == Ops.size() || Ops[I].Invoke > F.MinResp)
+      return SIZE_MAX;
+    ++F.Next;
+    return I;
+  }
+
+  /// Depth-first search with an explicit stack: a history of thousands
+  /// of ops would otherwise recurse once per linearized op.
+  bool search() {
+    Entered E = enter(0, {}, InitialPresent);
+    while (E != Entered::Goal && !Stack.empty()) {
+      Frame &F = Stack.back();
+      const size_t I = nextCandidate(F);
+      if (I == SIZE_MAX) {
+        Stack.pop_back(); // Every candidate failed.
+        continue;
+      }
+      bool NextPresent = F.Present;
+      if (!applyOp(Ops[I], F.Present, NextPresent))
+        continue;
+      std::vector<uint32_t> Holes = F.Holes;
+      size_t Frontier = F.Frontier;
+      if (I < Frontier) {
+        // I was a hole.
+        Holes.erase(std::find(Holes.begin(), Holes.end(),
+                              static_cast<uint32_t>(I)));
+      } else {
+        // Ops [Frontier, I) were skipped over: they become holes.
+        for (size_t J = Frontier; J != I; ++J)
+          Holes.push_back(static_cast<uint32_t>(J));
+        Frontier = I + 1;
+      }
+      E = enter(Frontier, std::move(Holes), NextPresent);
+    }
+    return E == Entered::Goal;
   }
 
   std::vector<CompletedOp> Ops;
   std::vector<uint64_t> SuffixMinResp;
   bool InitialPresent;
   std::unordered_set<std::string> Visited;
+  std::vector<Frame> Stack;
   bool Exhausted = false;
 };
 

@@ -12,7 +12,6 @@
 #include "lists/CoarseList.h"
 #include "lists/HandOverHandList.h"
 #include "lists/HarrisMichaelList.h"
-#include "lists/HarrisMichaelListHp.h"
 #include "lists/LazyList.h"
 #include "lists/LazySkipList.h"
 #include "lists/OptimisticList.h"
@@ -84,7 +83,6 @@ using VblVbr = VblList<reclaim::VbrDomain>;
 using LazyVbr = LazyList<reclaim::VbrDomain>;
 using VblChunkVbr = VblChunkList<7, reclaim::VbrDomain>;
 using SoHashVblVbr = maps::SplitOrderedHashSet<VblVbr>;
-using SoHashHmHp = maps::SplitOrderedHashSet<HarrisMichaelListHp>;
 // Contention-adaptive chunking: splits hot chunks toward small
 // effective K, merges cold runs toward large K, both piggybacked on the
 // freeze-and-replace protocol.
@@ -123,9 +121,6 @@ static const RegistryEntry Registry[] = {
     {"vbl-ttas", &makeAdapter<VblTtas>,
      "VBL over test-and-test-and-set locks; substrate=flat domain=ebr "
      "lock=ttas"},
-    {"harris-michael-hp", &makeAdapter<HarrisMichaelListHp>,
-     "Harris-Michael over hazard pointers; substrate=flat domain=hp "
-     "lock=none"},
     {"vbl-chunk", &makeAdapter<VblChunkDefault>,
      "unrolled chunked VBL; substrate=chunk K=7 domain=ebr "
      "lock=chunk-seqlock"},
@@ -161,9 +156,6 @@ static const RegistryEntry Registry[] = {
     {"so-hash-vbl-vbr", &makeAdapter<SoHashVblVbr>,
      "split-ordered hash over VBL+VBR; substrate=hash/flat domain=vbr "
      "lock=tas keys=[0,2^62)", /*FullKeyDomain=*/false},
-    {"so-hash-hm-hp", &makeAdapter<SoHashHmHp>,
-     "split-ordered hash over Harris-Michael+HP; substrate=hash/flat "
-     "domain=hp lock=none keys=[0,2^62)", /*FullKeyDomain=*/false},
 };
 
 std::unique_ptr<ConcurrentSet> vbl::makeSet(const std::string &Name) {

@@ -16,10 +16,10 @@
 ///
 /// The substrate is pluggable: any list exposing the BucketHandle hooks
 /// (insertFrom / removeFrom / containsFrom / getOrInsertSentinelFrom)
-/// works. The repo registers backends on HarrisMichaelList ("so-hash-hm"),
-/// VblList ("so-hash-vbl") and HarrisMichaelListHp ("so-hash-hm-hp"), so
-/// the paper's concurrency-optimal VBL synchronization carries over to
-/// the sharded structure unchanged.
+/// works. The repo registers backends on HarrisMichaelList ("so-hash-hm")
+/// and VblList ("so-hash-vbl", "so-hash-vbl-vbr"), so the paper's
+/// concurrency-optimal VBL synchronization carries over to the sharded
+/// structure unchanged.
 ///
 /// Bucket-index resizing — the grace-period table swap: the index is an
 /// immutable-capacity array of atomic slots. A resize copies the
@@ -31,12 +31,13 @@
 /// traversing the old array (they loaded the pointer before the swap),
 /// so freeing in place would be a use-after-free; every operation
 /// already brackets itself in a domain guard, so the domain's grace
-/// period (EBR epoch, HP hazard scan, VBR teardown parking) is exactly
-/// the right lifetime. A slot lost in the copy race (memoized
-/// concurrently with the copy) is harmless: the slot array is pure
-/// memoization of getOrInsertSentinelFrom, which always agrees on THE
-/// unique dummy node for a bucket, so the next lookup re-initializes to
-/// the same handle.
+/// period (EBR epoch, VBR teardown parking) is exactly the right
+/// lifetime: an index the operation loaded stays dereferenceable until
+/// its guard ends, even across the substrate calls it makes meanwhile.
+/// A slot lost in the copy race (memoized concurrently with the copy)
+/// is harmless: the slot array is pure memoization of
+/// getOrInsertSentinelFrom, which always agrees on THE unique dummy node
+/// for a bucket, so the next lookup re-initializes to the same handle.
 ///
 /// Shrinking leaves the dummies of the no-longer-addressable buckets in
 /// the list as orphans — they are sentinels, never removed, and a
@@ -45,15 +46,6 @@
 /// the very same nodes via get-or-insert agreement. checkInvariants
 /// therefore validates dummy addressability against the monotonic
 /// high-water capacity (MaxCapacityEver), not the current capacity.
-///
-/// Hazard-pointer substrates need one extra discipline: the index
-/// pointer itself must sit in a hazard slot while dereferenced, and the
-/// substrate's per-operation guards share this thread's slot record —
-/// their destructors clear every slot, including ours. So the hash
-/// layer re-protects the index after every substrate call and, when the
-/// index moved meanwhile, skips the (now possibly freed) old array and
-/// keeps only the returned dummy handle, which is immortal and correct
-/// independent of any index. See loadIndex/indexStillCurrent.
 ///
 /// When to resize is the policy carried by HashSetConfig
 /// (core/SetConfig.h): the index always sizes itself both ways — grow
@@ -120,18 +112,18 @@ public:
   bool insert(SetKey Key) {
     VBL_ASSERT(so::isHashKey(Key), "hash-set keys must lie in [0, 2^62)");
     Guard G(Domain);
-    if (!List.insertFrom(so::regularSoKey(Key), bucketForKey(Key, G)))
+    if (!List.insertFrom(so::regularSoKey(Key), bucketForKey(Key)))
       return false;
-    maybeGrow(adjustCount(+1), G);
+    maybeGrow(adjustCount(+1));
     return true;
   }
 
   bool remove(SetKey Key) {
     VBL_ASSERT(so::isHashKey(Key), "hash-set keys must lie in [0, 2^62)");
     Guard G(Domain);
-    if (!List.removeFrom(so::regularSoKey(Key), bucketForKey(Key, G)))
+    if (!List.removeFrom(so::regularSoKey(Key), bucketForKey(Key)))
       return false;
-    maybeShrink(adjustCount(-1), G);
+    maybeShrink(adjustCount(-1));
     return true;
   }
 
@@ -139,7 +131,7 @@ public:
   bool contains(SetKey Key) {
     VBL_ASSERT(so::isHashKey(Key), "hash-set keys must lie in [0, 2^62)");
     Guard G(Domain);
-    return List.containsFrom(so::regularSoKey(Key), bucketForKey(Key, G));
+    return List.containsFrom(so::regularSoKey(Key), bucketForKey(Key));
   }
 
   /// Quiescent-only: decoded user keys, ascending (dummies filtered).
@@ -298,16 +290,6 @@ private:
     }
   };
 
-  /// Hazard-pointer guards expose slot-indexed protect(); epoch and
-  /// version guards do not (their mere existence is the protection).
-  static constexpr bool HasHazardGuard =
-      requires(Guard &G, const std::atomic<BucketIndex *> &Src) {
-        { G.protect(3u, Src) };
-      };
-  /// HarrisMichaelListHp uses slots 0 (curr) and 1 (prev); the index
-  /// takes the top slot so the two layers never collide.
-  static constexpr unsigned IndexSlot = 3;
-
   [[noreturn]] static void reportBadConfig(HashSetConfigError E) {
     std::fprintf(stderr,
                  "SplitOrderedHashSet: invalid HashSetConfig: %s\n",
@@ -322,92 +304,53 @@ private:
     return C;
   }
 
-  /// Current index, safe to dereference for the rest of the operation —
-  /// provided no substrate call intervenes (see indexStillCurrent). HP
-  /// publishes the pointer in a hazard slot; everywhere else the
-  /// operation guard already covers any index the op can observe.
-  BucketIndex *loadIndex(Guard &G) {
-    if constexpr (HasHazardGuard) {
-      // protect() loops store-then-revalidate internally until the slot
-      // and the source agree, so the returned pointer cannot be freed
-      // while the slot holds it.
-      return G.protect(IndexSlot, Index);
-    } else {
-      (void)G;
-      return Policy::read(Index, std::memory_order_acquire, &Index,
-                          MemField::Next);
-    }
-  }
-
-  /// True when \p I is still the published index AND still safe to
-  /// dereference. Under HP a substrate call destroyed its inner guard,
-  /// which clears every hazard slot of this thread — including the
-  /// index slot — so a concurrent resize may have retired AND freed
-  /// \p I meanwhile; re-protect and compare. Elsewhere the operation
-  /// guard kept \p I alive, and writing a memo into a displaced index
-  /// is merely wasted work, so "still current" is always true.
-  bool indexStillCurrent(BucketIndex *I, Guard &G) {
-    if constexpr (HasHazardGuard) {
-      return G.protect(IndexSlot, Index) == I;
-    } else {
-      (void)I;
-      (void)G;
-      return true;
-    }
+  /// Current index. Callers hold the operation guard, which keeps any
+  /// index they can observe alive until the guard ends — substrate
+  /// calls in between included — so this is one acquire read.
+  BucketIndex *loadIndex() {
+    return Policy::read(Index, std::memory_order_acquire, &Index,
+                        MemField::Next);
   }
 
   /// Handle of the bucket that must anchor operations on \p Key under
   /// the current index.
-  BucketHandle bucketForKey(SetKey Key, Guard &G) {
-    BucketIndex *I = loadIndex(G);
+  BucketHandle bucketForKey(SetKey Key) {
+    BucketIndex *I = loadIndex();
     const size_t Cap = Policy::readValue(I->Capacity, I);
     const size_t B =
         static_cast<size_t>(so::mix62(static_cast<uint64_t>(Key))) &
         (Cap - 1);
-    bool IndexStale = false;
-    return bucketHandle(I, B, G, IndexStale);
+    return bucketHandle(I, B);
   }
 
   /// Memoized-get-or-initialize of bucket \p B's dummy handle. The
   /// recursion splices missing dummies parent-first (parent = bucket
   /// with its top set bit cleared), which terminates at bucket 0 — the
-  /// list head itself. \p IndexStale latches true once a hazard
-  /// re-protect observes the index was swapped out from under the
-  /// operation: from then on \p I may be freed memory, so the frames
-  /// stop touching it (no memo reads, no memo CAS) and rely purely on
-  /// get-or-insert agreement — the returned dummy handles are immortal
+  /// list head itself. If a resize displaced \p I meanwhile, the memo
+  /// written into it is merely wasted work: dummy handles are immortal
   /// and correct under ANY index.
-  BucketHandle bucketHandle(BucketIndex *I, size_t B, Guard &G,
-                            bool &IndexStale) {
+  BucketHandle bucketHandle(BucketIndex *I, size_t B) {
     if (B == 0)
       return List.headHandle();
-    if (!IndexStale) {
-      BucketHandle Memo = Policy::read(
-          I->Slots[B], std::memory_order_acquire, &I->Slots[B],
-          MemField::Next);
-      if (Memo)
-        return Memo;
-    }
+    BucketHandle Memo = Policy::read(I->Slots[B], std::memory_order_acquire,
+                                     &I->Slots[B], MemField::Next);
+    if (Memo)
+      return Memo;
     // One dummy splice, one parent link walked. In this
     // one-link-per-splice recursion the two totals coincide; the chain
     // counter is kept separate so a bulk-init strategy that probes
     // several ancestors per splice stays comparable.
     stats::bump(stats::Counter::MapBucketInits);
     stats::bump(stats::Counter::MapBucketInitChain);
-    BucketHandle Parent = bucketHandle(I, so::parentBucket(B), G, IndexStale);
+    BucketHandle Parent = bucketHandle(I, so::parentBucket(B));
     BucketHandle Dummy =
         List.getOrInsertSentinelFrom(so::dummySoKey(B), Parent);
-    if (!indexStillCurrent(I, G))
-      IndexStale = true;
-    if (!IndexStale) {
-      // Losing this CAS means another thread memoized first;
-      // get-or-insert agreement guarantees it memoized the same node,
-      // so either way Dummy is THE handle for bucket B.
-      BucketHandle Expected = nullptr;
-      Policy::casStrong(I->Slots[B], Expected, Dummy,
-                        std::memory_order_release, &I->Slots[B],
-                        MemField::Next);
-    }
+    // Losing this CAS means another thread memoized first; get-or-insert
+    // agreement guarantees it memoized the same node, so either way
+    // Dummy is THE handle for bucket B.
+    BucketHandle Expected = nullptr;
+    Policy::casStrong(I->Slots[B], Expected, Dummy, std::memory_order_release,
+                      &I->Slots[B], MemField::Next);
     return Dummy;
   }
 
@@ -473,8 +416,8 @@ private:
 
   /// Doubles the bucket index when the load factor is exceeded. Many
   /// threads may race to resize; one CAS wins (see installIndex).
-  void maybeGrow(int64_t NewCount, Guard &G) {
-    BucketIndex *I = loadIndex(G);
+  void maybeGrow(int64_t NewCount) {
+    BucketIndex *I = loadIndex();
     const size_t Cap = Policy::readValue(I->Capacity, I);
     if (NewCount <= 0 ||
         static_cast<uint64_t>(NewCount) <= Cap * Cfg.GrowLoadFactor ||
@@ -491,8 +434,8 @@ private:
   /// watermark (1/ShrinkDivisor of the grow trigger). The dummies of buckets [Cap/2, Cap) stay in the list as
   /// orphans — sentinels are never removed — and a later grow
   /// re-memoizes them via get-or-insert agreement.
-  void maybeShrink(int64_t NewCount, Guard &G) {
-    BucketIndex *I = loadIndex(G);
+  void maybeShrink(int64_t NewCount) {
+    BucketIndex *I = loadIndex();
     const size_t Cap = Policy::readValue(I->Capacity, I);
     if (Cap <= Cfg.MinBuckets)
       return;

@@ -126,19 +126,6 @@ inline size_t threadRecordCount() {
   return detail::tlsRegistry().Entries.size();
 }
 
-/// Forgets any record this thread holds for \p DomainId (used by domains
-/// that reclaim records eagerly in their destructor).
-inline void forgetThreadRecord(uint64_t DomainId) {
-  auto &Entries = detail::tlsRegistry().Entries;
-  for (size_t I = 0; I != Entries.size(); ++I) {
-    if (Entries[I].DomainId != DomainId)
-      continue;
-    Entries[I] = Entries.back();
-    Entries.pop_back();
-    return;
-  }
-}
-
 } // namespace reclaim
 } // namespace vbl
 

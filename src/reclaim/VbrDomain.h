@@ -7,7 +7,7 @@
 ///
 /// \file
 /// Version-based reclamation (VBR, Sheffi/Herlihy/Petrank — PAPERS.md):
-/// the fourth reclamation domain next to EBR, HP and leaky. Where EBR
+/// the third reclamation domain next to EBR and leaky. Where EBR
 /// buys safety with grace periods (a retired block is quarantined until
 /// every possible reader has left its critical section), VBR reuses a
 /// retired block *immediately* and instead makes readers detect that

@@ -43,18 +43,6 @@ const char *counterName(Counter C) {
     return "epoch.advances";
   case Counter::EpochStalls:
     return "epoch.stalls";
-  case Counter::HpRetired:
-    return "hp.retired";
-  case Counter::HpFreed:
-    return "hp.freed";
-  case Counter::HpScans:
-    return "hp.scans";
-  case Counter::HpScanKept:
-    return "hp.scan_kept";
-  case Counter::HpOrphanBacklog:
-    return "hp.orphan_backlog";
-  case Counter::HpOrphansAdopted:
-    return "hp.orphans_adopted";
   case Counter::PoolHits:
     return "pool.hits";
   case Counter::PoolMisses:
@@ -143,7 +131,7 @@ const char *histogramName(Histogram H) {
 
 namespace detail {
 
-thread_local Shard *TlsShard = nullptr;
+constinit thread_local Shard *TlsShard = nullptr;
 
 namespace {
 

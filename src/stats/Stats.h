@@ -18,7 +18,7 @@
 /// counters make the rejected work directly observable: restarts,
 /// try-lock failures, value-validation aborts, CAS failures, optimistic
 /// read retries, plus the reclamation backpressure signals (epoch
-/// stalls, HP scan/orphan backlog, pool hit rates) that GCList treats
+/// stalls, VBR birth rejects, pool hit rates) that GCList treats
 /// as first-class performance inputs.
 ///
 /// Design:
@@ -105,16 +105,6 @@ enum class Counter : uint16_t {
                             ///  increments.
   EpochStalls,              ///< epoch.stalls: advance blocked by a reader
                             ///  still announcing an older epoch.
-  // reclaim: hazard pointers.
-  HpRetired,                ///< hp.retired: nodes handed to an HP domain.
-  HpFreed,                  ///< hp.freed: nodes freed by a scan.
-  HpScans,                  ///< hp.scans: full hazard-array scans.
-  HpScanKept,               ///< hp.scan_kept: nodes a scan kept because a
-                            ///  hazard slot still protected them.
-  HpOrphanBacklog,          ///< hp.orphan_backlog: net orphaned retirees
-                            ///  (detach adds, adoption subtracts).
-  HpOrphansAdopted,         ///< hp.orphans_adopted: orphaned retirees
-                            ///  re-homed onto a live thread's list.
   // reclaim: node pool.
   PoolHits,                 ///< pool.hits: allocations served from the
                             ///  thread-local free list.
@@ -251,8 +241,7 @@ struct Snapshot {
   }
 
   /// Events since \p Since (counters are monotonic, so plain unsigned
-  /// subtraction; HpOrphanBacklog is the one up/down counter and wraps
-  /// mod 2^64, which subtraction also handles).
+  /// subtraction; a wrapped cell still subtracts correctly mod 2^64).
   Snapshot delta(const Snapshot &Since) const {
     Snapshot D;
     for (size_t I = 0; I < NumCounters; ++I)
@@ -307,7 +296,11 @@ struct alignas(CacheLineBytes) Shard {
 
 /// The calling thread's shard, or null before first use / after TLS
 /// teardown. Header-visible so bump() is a load + test + add when hot.
-extern thread_local Shard *TlsShard;
+/// constinit tells every includer the variable needs no dynamic
+/// initialization, so the access is a plain TLS load rather than a call
+/// through the TLS wrapper function, whose result gcc 12's
+/// -fsanitize=undefined flags as a null-pointer load.
+extern constinit thread_local Shard *TlsShard;
 
 /// Slow path: attach a shard to this thread (or route to the shared
 /// teardown shard) and apply the bump there.
@@ -388,7 +381,7 @@ inline Snapshot snapshotAll() { return Snapshot{}; }
 std::string renderTable(const Snapshot &S, const char *Indent = "  ");
 
 /// Appends the non-zero counters of \p S to \p Out as a JSON object
-/// body fragment: `"list.restarts":12,"hp.scans":3` (no braces). The
+/// body fragment: `"list.restarts":12,"epoch.stalls":3` (no braces). The
 /// vbl-bench-v1 writer wraps it; bench_compare.py ignores the key.
 void appendJsonFields(const Snapshot &S, std::string &Out);
 

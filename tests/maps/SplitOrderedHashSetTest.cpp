@@ -18,7 +18,6 @@
 #include "core/VblList.h"
 #include "lin/LinChecker.h"
 #include "lists/HarrisMichaelList.h"
-#include "lists/HarrisMichaelListHp.h"
 #include "lists/SetInterface.h"
 #include "reclaim/LeakyDomain.h"
 #include "reclaim/VbrDomain.h"
@@ -39,7 +38,6 @@ namespace {
 
 using HmHash = maps::SplitOrderedHashSet<HarrisMichaelList<>>;
 using VblHash = maps::SplitOrderedHashSet<VblList<>>;
-using HpHash = maps::SplitOrderedHashSet<HarrisMichaelListHp>;
 using VbrHash = maps::SplitOrderedHashSet<VblList<reclaim::VbrDomain>>;
 
 /// Config with \p InitialBuckets buckets that grows past
@@ -148,7 +146,6 @@ template <class HashT> void basicOps() {
 
 TEST(SplitOrderedHashSetTest, BasicOpsHarrisMichael) { basicOps<HmHash>(); }
 TEST(SplitOrderedHashSetTest, BasicOpsVbl) { basicOps<VblHash>(); }
-TEST(SplitOrderedHashSetTest, BasicOpsHarrisMichaelHp) { basicOps<HpHash>(); }
 
 template <class HashT> void growthSplitsBuckets() {
   // Tiny table + load factor 1: every few inserts double the index.
@@ -176,9 +173,6 @@ TEST(SplitOrderedHashSetTest, GrowthSplitsBucketsHarrisMichael) {
 }
 TEST(SplitOrderedHashSetTest, GrowthSplitsBucketsVbl) {
   growthSplitsBuckets<VblHash>();
-}
-TEST(SplitOrderedHashSetTest, GrowthSplitsBucketsHarrisMichaelHp) {
-  growthSplitsBuckets<HpHash>();
 }
 
 template <class HashT> void differentialVsStdSet(uint64_t Seed) {
@@ -210,9 +204,6 @@ TEST(SplitOrderedHashSetTest, DifferentialHarrisMichael) {
 }
 TEST(SplitOrderedHashSetTest, DifferentialVbl) {
   differentialVsStdSet<VblHash>(202);
-}
-TEST(SplitOrderedHashSetTest, DifferentialHarrisMichaelHp) {
-  differentialVsStdSet<HpHash>(303);
 }
 
 /// Churn differential: same model check, but the set breathes —
@@ -260,7 +251,7 @@ TEST(SplitOrderedHashSetTest, DifferentialShrinkVbl) {
 
 TEST(SplitOrderedHashSetTest, RegistryExposesHashSetsSeparately) {
   const auto HashNames = registeredHashSetNames();
-  ASSERT_EQ(HashNames.size(), 4u);
+  ASSERT_EQ(HashNames.size(), 3u);
   const auto ListNames = registeredSetNames();
   for (const std::string &Name : HashNames) {
     // Resolvable by name, but not enumerated with the full-domain lists
@@ -397,20 +388,6 @@ TEST(SplitOrderedHashSetTest, ShrinkChurnEbr) {
   EXPECT_GT(Domain.freedCount(), 0u);
 }
 
-TEST(SplitOrderedHashSetTest, ShrinkChurnHp) {
-  HpHash Set(churnConfig());
-  const stats::Snapshot Delta = growDrainChurn(Set);
-  if (stats::Enabled) {
-    EXPECT_GT(Delta.get(stats::Counter::MapResizeShrinks), 0u);
-  }
-  // Hazard domain: no thread holds a protection now, so a full scan
-  // frees every displaced segment.
-  auto &Domain = Set.reclaimDomain();
-  EXPECT_GT(Domain.retiredCount(), 0u);
-  Domain.collectAll();
-  EXPECT_GT(Domain.freedCount(), 0u);
-}
-
 TEST(SplitOrderedHashSetTest, ShrinkChurnVbr) {
   VbrHash Set(churnConfig());
   const stats::Snapshot Delta = growDrainChurn(Set);
@@ -479,9 +456,6 @@ TEST(SplitOrderedHashSetTest, ConcurrentStressHarrisMichael) {
 TEST(SplitOrderedHashSetTest, ConcurrentStressVbl) {
   concurrentStress<VblHash>();
 }
-TEST(SplitOrderedHashSetTest, ConcurrentStressHarrisMichaelHp) {
-  concurrentStress<HpHash>();
-}
 
 /// Phased concurrent churn: all threads
 /// fill, then all drain, repeated — the table breathes under real
@@ -523,9 +497,6 @@ TEST(SplitOrderedHashSetTest, ConcurrentShrinkStressHarrisMichael) {
 }
 TEST(SplitOrderedHashSetTest, ConcurrentShrinkStressVbl) {
   concurrentShrinkStress<VblHash>();
-}
-TEST(SplitOrderedHashSetTest, ConcurrentShrinkStressHarrisMichaelHp) {
-  concurrentShrinkStress<HpHash>();
 }
 TEST(SplitOrderedHashSetTest, ConcurrentShrinkStressVbr) {
   concurrentShrinkStress<VbrHash>();
@@ -585,9 +556,6 @@ TEST(SplitOrderedHashSetTest, LinearizableHarrisMichael) {
 }
 TEST(SplitOrderedHashSetTest, LinearizableVbl) {
   checkLinearizable("so-hash-vbl");
-}
-TEST(SplitOrderedHashSetTest, LinearizableHarrisMichaelHp) {
-  checkLinearizable("so-hash-hm-hp");
 }
 TEST(SplitOrderedHashSetTest, LinearizableVblVbr) {
   checkLinearizable("so-hash-vbl-vbr");

@@ -311,9 +311,9 @@ TEST(ShardedSetTest, UnknownBackendSuggestsClosestNames) {
 
 TEST(ShardedSetTest, RegistryDescriptionsAreComplete) {
   const std::vector<SetDescription> All = registeredSetDescriptions();
-  EXPECT_EQ(All.size(), 26u);
-  EXPECT_EQ(registeredSetNames().size(), 22u);
-  EXPECT_EQ(registeredHashSetNames().size(), 4u);
+  EXPECT_EQ(All.size(), 24u);
+  EXPECT_EQ(registeredSetNames().size(), 21u);
+  EXPECT_EQ(registeredHashSetNames().size(), 3u);
   for (const SetDescription &D : All) {
     EXPECT_FALSE(D.Describe.empty()) << D.Name;
     // Every described name must resolve through the factory.
@@ -328,7 +328,7 @@ TEST(ShardedSetTest, RegistryDescriptionsAreComplete) {
   for (const char *Gone :
        {"harris", "bst-tombstone", "vbl-versioned", "so-hash-hm-resize",
         "so-hash-vbl-resize", "so-hash-vbl-vbr-resize",
-        "so-hash-hm-hp-resize"})
+        "so-hash-hm-hp-resize", "harris-michael-hp", "so-hash-hm-hp"})
     EXPECT_EQ(makeSet(Gone), nullptr) << Gone;
   for (const char *Used : {"vbl", "vbl-leaky", "lazy", "harris-michael",
                            "vbl-chunk", "so-hash-vbl", "so-hash-vbl-vbr"})

@@ -33,8 +33,8 @@ TEST(StatsLayer, CounterAndHistogramNames) {
                "list.value_validation_aborts");
   EXPECT_STREQ(stats::counterName(stats::Counter::LockOptimisticRetries),
                "lock.optimistic_retries");
-  EXPECT_STREQ(stats::counterName(stats::Counter::HpOrphanBacklog),
-               "hp.orphan_backlog");
+  EXPECT_STREQ(stats::counterName(stats::Counter::VbrBirthRejects),
+               "reclaim.vbr.birth_rejects");
   EXPECT_STREQ(stats::counterName(stats::Counter::MapResizesLost),
                "map.resizes_lost");
   EXPECT_STREQ(stats::histogramName(stats::Histogram::TraversalHops),
@@ -69,13 +69,13 @@ TEST(StatsLayer, BumpAndDelta) {
 }
 
 TEST(StatsLayer, WrappingDeltaSupportsGauges) {
-  // hp.orphan_backlog is the one up/down counter: down-counts are
-  // wrapping additions, and delta subtracts the same way.
+  // A gauge counts down with wrapping additions, and delta subtracts
+  // the same way, so an up-then-down interval nets to zero.
   const stats::Snapshot Before = stats::snapshotAll();
-  stats::bump(stats::Counter::HpOrphanBacklog, 7);
-  stats::bump(stats::Counter::HpOrphanBacklog, uint64_t(0) - 7);
+  stats::bump(stats::Counter::MapResizesLost, 7);
+  stats::bump(stats::Counter::MapResizesLost, uint64_t(0) - 7);
   const stats::Snapshot Delta = stats::snapshotAll().delta(Before);
-  EXPECT_EQ(Delta.get(stats::Counter::HpOrphanBacklog), 0u);
+  EXPECT_EQ(Delta.get(stats::Counter::MapResizesLost), 0u);
 }
 
 TEST(StatsLayer, HistogramBucketing) {

@@ -30,7 +30,7 @@ def main():
                         help="only rows whose name or description "
                              "contains this substring (case-insensitive):"
                              " e.g. hash, chunk, adaptive, ebr,"
-                             " vbr, hp")
+                             " vbr")
     args = parser.parse_args()
 
     binary = os.path.join(args.build_dir, "bench", "service_throughput")

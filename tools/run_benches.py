@@ -52,8 +52,8 @@ def bench_invocations(args):
         # gates the node-pool fast path against regressions.
         ("micro_reclaim", common + ["--churn-threads", args.threads,
                                     "--churn-ranges", "128,1024"]),
-        # The 4-way reclamation comparison (leaky/EBR/VBR per lock-based
-        # list, leaky/EBR/HP for harris-michael); gates the VBR read
+        # The reclamation comparison (leaky/EBR/VBR per lock-based list,
+        # leaky/EBR for harris-michael); gates the VBR read
         # protocol's overhead and EBR's announce cost end to end.
         ("reclamation_cost", common + ["--threads", args.threads]),
         # The §1 read-only claim (VBL vs Harris-Michael traversals).

@@ -2,8 +2,8 @@
 """Split a merged vbl-bench-v1 document into per-reclamation-domain files.
 
 The reclamation benches (micro_reclaim, reclamation_cost) measure the
-same structures under four domains: leaky (no-op ceiling), EBR (the
-default), HP (harris-michael only) and VBR. CI uploads one JSON per
+same structures under three domains: leaky (no-op ceiling), EBR (the
+default) and VBR (lock-based lists only). CI uploads one JSON per
 domain so a domain's trend can be tracked across runs without
 re-filtering the merged document each time.
 
@@ -27,8 +27,8 @@ def is_reclamation_bench(bench):
 
 def domain_of(structure):
     """Maps a structure name to its reclamation domain. Registry names
-    suffix the non-default domain (-leaky, -vbr, -hp); micro_reclaim's
-    primitive rows name the domain directly (guard/vbr, retire/hazard);
+    suffix the non-default domain (-leaky, -vbr); micro_reclaim's
+    primitive rows name the domain directly (guard/vbr, retire/vbr);
     churn rows carry a +pool/+bypass suffix on a registry name. EBR is
     the default everywhere it is not named."""
     base = structure.split("+")[0]
@@ -37,8 +37,6 @@ def domain_of(structure):
     if base.endswith("-vbr") or base.endswith("/vbr") \
             or base.endswith("/vbr_mt"):
         return "vbr"
-    if base.endswith("-hp") or "hazard" in base:
-        return "hp"
     return "ebr"
 
 
