@@ -55,6 +55,16 @@
 /// swap. Construction validates the config and refuses misconfiguration
 /// with a named HashSetConfigError instead of silently rounding.
 ///
+/// Range scans pick their plan by cost. Split order scatters a window
+/// of user keys across the whole list, so a scan either decides each
+/// candidate key with the substrate's containsFrom from its bucket's
+/// dummy — O(window), taken whenever the window holds no more candidate
+/// keys than the list holds nodes (sizeFast() + bucketCount()) — or
+/// walks the entire list once and filters — O(n), taken for wider
+/// windows and full-domain snapshots. Both are per-key linearizable
+/// over the scan's interval, the contract every backend's scan keeps;
+/// map.scan_lookups and map.scan_walks count which plan ran.
+///
 /// All shared accesses flow through the substrate's Policy, so the hash
 /// layer runs under the deterministic scheduler and the happens-before
 /// race detector exactly like the lists do (tests/maps).
@@ -134,37 +144,44 @@ public:
     return List.containsFrom(so::regularSoKey(Key), bucketForKey(Key));
   }
 
-  /// Quiescent-only: decoded user keys, ascending (dummies filtered).
-  /// Range scan. Split order is bit-reversed hash order, not user-key
-  /// order, so a window of user keys is scattered across the whole
-  /// list: the scan walks the entire substrate once (the substrate's
-  /// own linearizable scan, which skips dummies' even so-keys along
-  /// with deleted nodes), decodes the regular so-keys, filters to
-  /// [Lo, Hi] and sorts. O(n) whatever the window — the price of
-  /// hashing; the flat and chunk lists are the range-friendly backends.
+  /// Range scan: appends the stored keys in [\p Lo, \p Hi] to \p Out,
+  /// ascending, and returns how many were appended. Split order is
+  /// bit-reversed hash order, so a window of user keys is scattered
+  /// across the whole list; the scan picks the cheaper of two plans by
+  /// one comparison, no tuning knob:
+  ///  - lookup path, when the window holds no more candidate keys than
+  ///    the list holds nodes (elements + bucket dummies, estimated as
+  ///    sizeFast() + bucketCount()): every candidate key is decided by
+  ///    the substrate's own containsFrom from its bucket's dummy —
+  ///    O(window) short bucket walks (lookupRange);
+  ///  - walk path otherwise, and for full-domain snapshots: one walk of
+  ///    the entire substrate, decoded, filtered to the window and
+  ///    sorted — O(n) (walkRange).
+  /// Either way the result is per-key linearizable over the scan's
+  /// interval (the ConcurrentSet::rangeQuery contract): each key's
+  /// presence or absence is justified by a linearizable read of the
+  /// substrate made inside the call.
   size_t rangeQuery(SetKey Lo, SetKey Hi, std::vector<SetKey> &Out) {
     VBL_ASSERT(so::isHashKey(Lo) && so::isHashKey(Hi),
                "hash-set keys must lie in [0, 2^62)");
     if (Lo > Hi)
       return 0;
     Guard G(Domain);
-    // Regular so-keys occupy [MinSentinel+1, MaxSentinel-2]: mix62 stays
-    // below 2^62, so the reversal leaves bit 1 clear and the tagged
-    // value never reaches the sentinels (SplitOrder.h static_asserts).
-    std::vector<SetKey> SoKeys;
-    List.rangeQuery(MinSentinel + 1, MaxSentinel - 1, SoKeys);
-    const size_t Entry = Out.size();
-    for (SetKey SoKey : SoKeys) {
-      if (!so::isRegularSoKey(SoKey))
-        continue;
-      const SetKey K = so::decodeRegular(SoKey);
-      if (K >= Lo && K <= Hi)
-        Out.push_back(K);
-    }
-    std::sort(Out.begin() + static_cast<ptrdiff_t>(Entry), Out.end());
-    return Out.size() - Entry;
+    // Both bounds lie in [0, 2^62), so neither the window width nor the
+    // node estimate can overflow uint64_t.
+    const uint64_t Candidates = static_cast<uint64_t>(Hi - Lo) + 1;
+    const int64_t Held =
+        Policy::read(Count, std::memory_order_acquire, &Count, MemField::Val);
+    BucketIndex *I = loadIndex();
+    const uint64_t Nodes = static_cast<uint64_t>(std::max<int64_t>(Held, 0)) +
+                           Policy::readValue(I->Capacity, I);
+    if (Candidates <= Nodes)
+      return lookupRange(Lo, Hi, Out);
+    stats::bump(stats::Counter::MapScanWalks);
+    return walkRange(Lo, Hi, Out);
   }
 
+  /// Quiescent-only: decoded user keys, ascending (dummies filtered).
   std::vector<SetKey> snapshot() const {
     std::vector<SetKey> Keys;
     for (SetKey SoKey : List.snapshot())
@@ -352,6 +369,76 @@ private:
     Policy::casStrong(I->Slots[B], Expected, Dummy, std::memory_order_release,
                       &I->Slots[B], MemField::Next);
     return Dummy;
+  }
+
+  /// Keys the lookup path resolves per stage before moving on, so each
+  /// stage's cache misses are in flight together.
+  static constexpr size_t LookupGroup = 16;
+
+  /// The lookup path of rangeQuery: decides every key of [Lo, Hi] with
+  /// containsFrom from its bucket's dummy, in groups of LookupGroup
+  /// keys and three stages per group — (1) so-keys and buckets under
+  /// one index load, index slots prefetched; (2) bucket handles
+  /// resolved (lazily splicing missing dummies, as contains does),
+  /// dummy nodes prefetched; (3) one containsFrom per key. Keys are
+  /// visited in order, so hits are appended already sorted. Caller
+  /// holds the operation guard.
+  size_t lookupRange(SetKey Lo, SetKey Hi, std::vector<SetKey> &Out) {
+    const size_t Entry = Out.size();
+    SetKey SoKeys[LookupGroup] = {};
+    size_t Buckets[LookupGroup] = {};
+    BucketHandle Handles[LookupGroup] = {};
+    for (SetKey First = Lo;; First += LookupGroup) {
+      const uint64_t Left = static_cast<uint64_t>(Hi - First) + 1;
+      const size_t N = Left < LookupGroup ? static_cast<size_t>(Left)
+                                          : LookupGroup;
+      BucketIndex *I = loadIndex();
+      const size_t Mask = Policy::readValue(I->Capacity, I) - 1;
+      for (size_t J = 0; J != N; ++J) {
+        const SetKey Key = First + static_cast<SetKey>(J);
+        SoKeys[J] = so::regularSoKey(Key);
+        Buckets[J] =
+            static_cast<size_t>(so::mix62(static_cast<uint64_t>(Key))) & Mask;
+        // Prefetches are hints, compiled out under a traced policy as
+        // in the lists, so scheduled runs touch only traced accesses.
+        if constexpr (!Policy::Traced)
+          VBL_PREFETCH(&I->Slots[Buckets[J]]);
+      }
+      for (size_t J = 0; J != N; ++J) {
+        Handles[J] = bucketHandle(I, Buckets[J]);
+        if constexpr (!Policy::Traced)
+          VBL_PREFETCH(Handles[J]);
+      }
+      for (size_t J = 0; J != N; ++J)
+        if (List.containsFrom(SoKeys[J], Handles[J]))
+          Out.push_back(First + static_cast<SetKey>(J));
+      stats::bump(stats::Counter::MapScanLookups, N);
+      if (Left <= LookupGroup)
+        break;
+    }
+    return Out.size() - Entry;
+  }
+
+  /// The walk path of rangeQuery: the substrate's own linearizable scan
+  /// over the whole list (which skips dummies' even so-keys along with
+  /// deleted nodes), decoded, filtered to [Lo, Hi] and sorted. Caller
+  /// holds the operation guard.
+  size_t walkRange(SetKey Lo, SetKey Hi, std::vector<SetKey> &Out) {
+    // Regular so-keys occupy [MinSentinel+1, MaxSentinel-2]: mix62 stays
+    // below 2^62, so the reversal leaves bit 1 clear and the tagged
+    // value never reaches the sentinels (SplitOrder.h static_asserts).
+    std::vector<SetKey> SoKeys;
+    List.rangeQuery(MinSentinel + 1, MaxSentinel - 1, SoKeys);
+    const size_t Entry = Out.size();
+    for (SetKey SoKey : SoKeys) {
+      if (!so::isRegularSoKey(SoKey))
+        continue;
+      const SetKey K = so::decodeRegular(SoKey);
+      if (K >= Lo && K <= Hi)
+        Out.push_back(K);
+    }
+    std::sort(Out.begin() + static_cast<ptrdiff_t>(Entry), Out.end());
+    return Out.size() - Entry;
   }
 
   /// Count is an acquire/acq_rel CAS loop rather than a relaxed

@@ -83,6 +83,10 @@ const char *counterName(Counter C) {
     return "map.resize.shrinks";
   case Counter::MapResizeSegmentsRetired:
     return "map.resize.retired_segments";
+  case Counter::MapScanWalks:
+    return "map.scan_walks";
+  case Counter::MapScanLookups:
+    return "map.scan_lookups";
   case Counter::ScanRetries:
     return "scan.retries";
   case Counter::ScanFallbacks:

@@ -155,6 +155,12 @@ enum class Counter : uint16_t {
   MapResizeSegmentsRetired, ///< map.resize.retired_segments: displaced
                             ///  bucket-index arrays handed to the reclaim
                             ///  domain (grace-period table swap).
+  MapScanWalks,             ///< map.scan_walks: hash range scans that
+                            ///  walked the whole split-ordered list
+                            ///  (window wider than the list).
+  MapScanLookups,           ///< map.scan_lookups: keys a narrow hash
+                            ///  range scan decided by one bucket-anchored
+                            ///  lookup each.
   // range scans (rangeQuery/snapshot across every backend).
   ScanRetries,              ///< scan.retries: optimistic multi-chunk
                             ///  window collects whose version

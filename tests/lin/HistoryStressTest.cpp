@@ -15,12 +15,14 @@
 #include "lin/LinChecker.h"
 
 #include "lists/SetInterface.h"
+#include "stats/Stats.h"
 #include "support/Barrier.h"
 #include "support/Random.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <functional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -44,9 +46,11 @@ int scaledOps(int Base) {
 
 class HistoryStressTest : public ::testing::TestWithParam<std::string> {};
 
+/// \p ScanSpan bounds how far a scan's Hi lies past its Lo; 0 keeps
+/// the default of half the key range.
 void runAndCheck(const std::string &Algo, unsigned NumThreads,
                  SetKey KeyRange, int OpsPerThread, uint64_t Seed,
-                 unsigned ScanPercent = 0) {
+                 unsigned ScanPercent = 0, uint64_t ScanSpan = 0) {
   auto Set = makeSet(Algo);
   ASSERT_NE(Set, nullptr);
 
@@ -61,6 +65,8 @@ void runAndCheck(const std::string &Algo, unsigned NumThreads,
   // Scans are recorded per thread (no synchronization, like ThreadLog)
   // and lowered to per-key Contains observations after the join.
   std::vector<std::vector<CompletedScan>> ScanLogs(NumThreads);
+  if (ScanSpan == 0)
+    ScanSpan = static_cast<uint64_t>(KeyRange) / 2 + 1;
   SpinBarrier Barrier(NumThreads);
   std::vector<std::thread> Threads;
   for (unsigned T = 0; T != NumThreads; ++T) {
@@ -72,8 +78,8 @@ void runAndCheck(const std::string &Algo, unsigned NumThreads,
         const SetKey Key =
             static_cast<SetKey>(Rng.nextBounded(KeyRange));
         if (ScanPercent && Rng.nextBounded(100) < ScanPercent) {
-          const SetKey Hi = Key + static_cast<SetKey>(Rng.nextBounded(
-                                      static_cast<uint64_t>(KeyRange) / 2 + 1));
+          const SetKey Hi =
+              Key + static_cast<SetKey>(Rng.nextBounded(ScanSpan));
           CompletedScan Scan;
           Scan.Lo = Key;
           Scan.Hi = Hi;
@@ -152,6 +158,28 @@ void runAndCheck(const std::string &Algo, unsigned NumThreads,
                               << ExtResult.Message;
 }
 
+class HashScanStressTest : public ::testing::TestWithParam<std::string> {};
+
+/// Runs \p Run and, in a stats-on build, checks that it moved \p Path
+/// (map.scan_lookups or map.scan_walks): the scan plan the case covers.
+void expectScanPath(stats::Counter Path, const std::function<void()> &Run) {
+  const stats::Snapshot Before = stats::snapshotAll();
+  Run();
+  if (stats::Enabled) {
+    EXPECT_GT(stats::snapshotAll().delta(Before).get(Path), 0u)
+        << stats::counterName(Path);
+  }
+}
+
+/// gtest parameter names: registry names with '-' spelled '_'.
+std::string paramName(const ::testing::TestParamInfo<std::string> &Info) {
+  std::string Name = Info.param;
+  for (char &C : Name)
+    if (C == '-')
+      C = '_';
+  return Name;
+}
+
 } // namespace
 
 TEST_P(HistoryStressTest, ContendedSmallRange) {
@@ -183,13 +211,39 @@ TEST_P(HistoryStressTest, ScanHeavySmallRange) {
               /*Seed=*/71, /*ScanPercent=*/50);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Registry, HistoryStressTest,
-    ::testing::ValuesIn(registeredSetNames()),
-    [](const ::testing::TestParamInfo<std::string> &Info) {
-      std::string Name = Info.param;
-      for (char &C : Name)
-        if (C == '-')
-          C = '_';
-      return Name;
-    });
+// The split-ordered hash sets (restricted key domain, so not in the
+// registry list above) under the two scan shapes, plus a wide-window
+// one. A hash scan picks its plan by window width: the small ranges
+// keep every window within sizeFast() + bucketCount() candidates, so
+// each key is decided by a bucket-anchored lookup, while windows of up
+// to 2^20 keys over the same 32-key universe take the whole-list walk.
+// In a stats-on build each case also checks that its plan ran.
+TEST_P(HashScanStressTest, ScanMixLinearizable) {
+  expectScanPath(stats::Counter::MapScanLookups, [&] {
+    runAndCheck(GetParam(), 4, /*KeyRange=*/32, scaledOps(2500),
+                /*Seed=*/53, /*ScanPercent=*/20);
+  });
+}
+
+TEST_P(HashScanStressTest, ScanHeavySmallRange) {
+  expectScanPath(stats::Counter::MapScanLookups, [&] {
+    runAndCheck(GetParam(), 4, /*KeyRange=*/8, scaledOps(1500),
+                /*Seed=*/71, /*ScanPercent=*/50);
+  });
+}
+
+TEST_P(HashScanStressTest, ScanMixWideWindows) {
+  expectScanPath(stats::Counter::MapScanWalks, [&] {
+    runAndCheck(GetParam(), 4, /*KeyRange=*/32, scaledOps(2500),
+                /*Seed=*/89, /*ScanPercent=*/20,
+                /*ScanSpan=*/uint64_t{1} << 20);
+  });
+}
+
+INSTANTIATE_TEST_SUITE_P(Registry, HistoryStressTest,
+                         ::testing::ValuesIn(registeredSetNames()),
+                         paramName);
+
+INSTANTIATE_TEST_SUITE_P(Hash, HashScanStressTest,
+                         ::testing::ValuesIn(registeredHashSetNames()),
+                         paramName);

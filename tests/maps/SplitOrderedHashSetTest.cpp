@@ -8,8 +8,9 @@
 /// Functional coverage for the split-ordered hash set over both
 /// substrates: the key-encoding algebra, sequential and differential
 /// behaviour, lazy bucket splitting under growth, registry integration,
-/// multi-threaded stress with invariant checks, and a recorded-history
-/// linearizability check through src/lin.
+/// range scans on both plans against a model, multi-threaded stress
+/// with invariant checks, and a recorded-history linearizability check
+/// through src/lin.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -289,6 +290,127 @@ TEST(SplitOrderedHashSetTest, RegistryHashSetsGrowThenShrink) {
     EXPECT_TRUE(Set->snapshot().empty()) << Name;
     EXPECT_TRUE(Set->checkInvariants()) << Name;
   }
+}
+
+//===----------------------------------------------------------------===//
+// Range scans: both plans against a std::set model
+//===----------------------------------------------------------------===//
+
+/// Checks one rangeQuery through the ConcurrentSet interface against
+/// \p Model: the call must append exactly the model's slice of
+/// [Lo, Hi], ascending, after whatever \p Out already held.
+void expectScanMatches(ConcurrentSet &Set, const std::set<SetKey> &Model,
+                       SetKey Lo, SetKey Hi) {
+  std::vector<SetKey> Out{-7, -9}; // Scans append; the prefix must stay.
+  const size_t Appended = Set.rangeQuery(Lo, Hi, Out);
+  std::vector<SetKey> Expected{-7, -9};
+  if (Lo <= Hi)
+    Expected.insert(Expected.end(), Model.lower_bound(Lo),
+                    Model.upper_bound(Hi));
+  ASSERT_EQ(Appended, Expected.size() - 2)
+      << Set.name() << " [" << Lo << ", " << Hi << "]";
+  ASSERT_EQ(Out, Expected) << Set.name() << " [" << Lo << ", " << Hi << "]";
+}
+
+// Every registered hash set, quiescent, against a std::set model over
+// random windows that take both plans: narrow ones (no more candidate
+// keys than the list has nodes, decided by one lookup per key) and
+// wide ones (one walk of the whole list), plus the boundary windows.
+TEST(SplitOrderedHashSetTest, RangeQueryMatchesModelOnBothPaths) {
+  constexpr SetKey Top = MaxHashKey - 1;
+  for (const std::string &Name : registeredHashSetNames()) {
+    auto Set = makeSet(Name);
+    ASSERT_NE(Set, nullptr) << Name;
+    std::set<SetKey> Model;
+    Xoshiro256 Rng(2024);
+    // Dense runs at both ends of the domain (so windows ending on a
+    // present key are common; both extreme keys are present) plus keys
+    // scattered across it.
+    for (SetKey Key = 0; Key != 3000; ++Key) {
+      for (const SetKey K : {Key, Top - Key})
+        if (Key == 0 || Rng.nextBounded(2) == 0) {
+          ASSERT_EQ(Set->insert(K), Model.insert(K).second) << Name;
+        }
+      const auto Far = static_cast<SetKey>(Rng.next() & so::HashKeyMask);
+      ASSERT_EQ(Set->insert(Far), Model.insert(Far).second) << Name;
+    }
+    const stats::Snapshot Before = stats::snapshotAll();
+    // The lookup plan runs up to sizeFast() + bucketCount() candidates.
+    const auto Nodes =
+        static_cast<uint64_t>(Model.size() + Set->bucketCount());
+    for (int I = 0; I != 400; ++I) {
+      const bool Narrow = I % 2 == 0;
+      const uint64_t Width =
+          Narrow ? 1 + Rng.nextBounded(std::min<uint64_t>(Nodes, 2048))
+                 : Nodes + 1 + Rng.nextBounded(4 * Nodes);
+      const SetKey Span = static_cast<SetKey>(Width - 1);
+      SetKey Lo = 0;
+      switch (Rng.nextBounded(3)) {
+      case 0: // Inside the low run.
+        Lo = static_cast<SetKey>(Rng.nextBounded(3000));
+        break;
+      case 1: // Inside the high run, clamped to end at Top.
+        Lo = Top - static_cast<SetKey>(Rng.nextBounded(3000));
+        break;
+      default:
+        Lo = static_cast<SetKey>(Rng.next() & so::HashKeyMask);
+        break;
+      }
+      Lo = std::min(Lo, Top - Span);
+      expectScanMatches(*Set, Model, Lo, Lo + Span);
+    }
+    // Boundaries: an empty window, single keys (present and absent),
+    // windows touching 0 and 2^62 - 1 on both plans, a window wider
+    // than the set, and the full-domain snapshot.
+    expectScanMatches(*Set, Model, 5, 4);
+    expectScanMatches(*Set, Model, Top, 0);
+    for (const SetKey K : {SetKey{0}, SetKey{1}, SetKey{2}, Top - 1, Top})
+      expectScanMatches(*Set, Model, K, K);
+    expectScanMatches(*Set, Model, 0, 100);
+    expectScanMatches(*Set, Model, Top - 100, Top);
+    expectScanMatches(*Set, Model, 0, static_cast<SetKey>(2 * Nodes));
+    expectScanMatches(*Set, Model, Top - static_cast<SetKey>(2 * Nodes), Top);
+    expectScanMatches(*Set, Model, 0, Top - 1);
+    expectScanMatches(*Set, Model, 1, Top);
+    std::vector<SetKey> All;
+    EXPECT_EQ(Set->snapshot(All), Model.size()) << Name;
+    EXPECT_EQ(All, std::vector<SetKey>(Model.begin(), Model.end())) << Name;
+    const stats::Snapshot Delta = stats::snapshotAll().delta(Before);
+    if (stats::Enabled) {
+      EXPECT_GT(Delta.get(stats::Counter::MapScanLookups), 0u) << Name;
+      EXPECT_GT(Delta.get(stats::Counter::MapScanWalks), 0u) << Name;
+    }
+    EXPECT_TRUE(Set->checkInvariants()) << Name;
+  }
+}
+
+// A narrow scan over buckets no operation has touched yet resolves
+// their handles exactly as contains() does — splicing each missing
+// dummy under its parent — and leaves a well-formed structure.
+TEST(SplitOrderedHashSetTest, NarrowScanInitializesBucketsSafely) {
+  for (const std::string &Name : registeredHashSetNames()) {
+    auto Set = makeSet(Name);
+    ASSERT_NE(Set, nullptr) << Name;
+    const size_t Buckets = Set->bucketCount();
+    std::vector<SetKey> Out;
+    EXPECT_EQ(Set->rangeQuery(0, static_cast<SetKey>(Buckets) - 1, Out), 0u)
+        << Name;
+    EXPECT_TRUE(Out.empty()) << Name;
+    EXPECT_TRUE(Set->checkInvariants()) << Name;
+    EXPECT_TRUE(Set->insert(3)) << Name;
+    EXPECT_EQ(Set->rangeQuery(1, 4, Out), 1u) << Name;
+    EXPECT_EQ(Out, std::vector<SetKey>{3}) << Name;
+    EXPECT_TRUE(Set->checkInvariants()) << Name;
+  }
+  // A wide, mostly uninitialized table: 1024 buckets, three keys, one
+  // scan whose lookups splice hundreds of dummies.
+  VbrHash Set(shape(1024, 4));
+  for (const SetKey K : {SetKey{10}, SetKey{500}, SetKey{900}})
+    ASSERT_TRUE(Set.insert(K));
+  std::vector<SetKey> Out;
+  EXPECT_EQ(Set.rangeQuery(0, 1000, Out), 3u);
+  EXPECT_EQ(Out, (std::vector<SetKey>{10, 500, 900}));
+  EXPECT_TRUE(Set.checkInvariants());
 }
 
 //===----------------------------------------------------------------===//

@@ -128,7 +128,7 @@ inline std::vector<Scenario> hashSetScenarios() {
 /// ShrinkDivisor=2, MinBuckets=1, so episode removes cross the shrink
 /// watermark and the halving index-swap interleaves with the other
 /// thread's operation — resize-vs-insert/remove, shrink-vs-contains,
-/// and both directions racing a range scan.
+/// and both directions racing a range scan on each of its two plans.
 inline std::vector<Scenario> hashResizeScenarios() {
   return {
       // Both inserts race to publish a doubled index on a table whose
@@ -148,15 +148,26 @@ inline std::vector<Scenario> hashResizeScenarios() {
       {"hash_shrink_vs_remove", {1, 2, 3},
        {{{SetOp::Remove, 1}, {SetOp::Remove, 2}}, {{SetOp::Remove, 3}}},
        {1, 2, 3}, 2000},
-      // Index swaps racing a full-window scan: the scan walks the one
-      // ordered list and must stay linearizable whichever index it
-      // resolved its entry point through.
+      // Index swaps racing a wide scan (eight candidate keys, more than
+      // sizeFast() + bucketCount()): the scan walks the one ordered
+      // list and must stay linearizable whichever index it resolved
+      // its entry point through.
       {"hash_resize_vs_scan", {1, 2},
        {{{SetOp::Insert, 3}}, {{SetOp::RangeQuery, 0, 7}}},
        {1, 2, 3}, 2000},
       {"hash_shrink_vs_scan", {1, 2, 3},
        {{{SetOp::Remove, 1}, {SetOp::Remove, 2}},
         {{SetOp::RangeQuery, 0, 7}}},
+       {1, 2, 3}, 2000},
+      // The same swaps racing a narrow scan: three candidate keys, so
+      // it decides each key by a lookup from its bucket, splicing
+      // missing dummies as it goes.
+      {"hash_resize_vs_narrow_scan", {1, 2},
+       {{{SetOp::Insert, 3}}, {{SetOp::RangeQuery, 1, 3}}},
+       {1, 2, 3}, 2000},
+      {"hash_shrink_vs_narrow_scan", {1, 2, 3},
+       {{{SetOp::Remove, 1}, {SetOp::Remove, 2}},
+        {{SetOp::RangeQuery, 1, 3}}},
        {1, 2, 3}, 2000},
   };
 }

@@ -6,7 +6,8 @@
 //===----------------------------------------------------------------------===//
 ///
 /// Unit tests for src/stats: sharded counting, snapshot/delta algebra,
-/// histogram bucketing, thread churn, and the VBL_STATS=0 contract.
+/// histogram bucketing, thread churn, the hash-scan plan counters, and
+/// the VBL_STATS=0 contract.
 /// Every test runs in both build modes — when the layer is compiled
 /// out, the same assertions verify that bumps are no-ops and snapshots
 /// stay empty, so the stats-off CI leg exercises this file unchanged.
@@ -14,6 +15,8 @@
 //===----------------------------------------------------------------------===//
 
 #include "stats/Stats.h"
+
+#include "lists/SetInterface.h"
 
 #include <gtest/gtest.h>
 
@@ -37,6 +40,10 @@ TEST(StatsLayer, CounterAndHistogramNames) {
                "reclaim.vbr.birth_rejects");
   EXPECT_STREQ(stats::counterName(stats::Counter::MapResizesLost),
                "map.resizes_lost");
+  EXPECT_STREQ(stats::counterName(stats::Counter::MapScanWalks),
+               "map.scan_walks");
+  EXPECT_STREQ(stats::counterName(stats::Counter::MapScanLookups),
+               "map.scan_lookups");
   EXPECT_STREQ(stats::histogramName(stats::Histogram::TraversalHops),
                "hist.traversal_hops");
   EXPECT_STREQ(stats::histogramName(stats::Histogram::EpochLag),
@@ -161,6 +168,42 @@ TEST(StatsLayer, ThreadChurnLosesNothing) {
               static_cast<uint64_t>(Generations) * 3);
   else
     EXPECT_TRUE(Delta.empty());
+}
+
+// A slow hash scan explains itself: map.scan_walks counts scans that
+// walked the whole split-ordered list, map.scan_lookups the keys a
+// narrow scan decided one bucket lookup each.
+TEST(StatsLayer, HashScanPlanCounters) {
+  for (const std::string &Name : registeredHashSetNames()) {
+    auto Set = makeSet(Name);
+    ASSERT_NE(Set, nullptr) << Name;
+    for (SetKey Key = 0; Key != 1000; ++Key)
+      ASSERT_TRUE(Set->insert(Key)) << Name;
+    std::vector<SetKey> Out;
+
+    // The full-domain snapshot is the widest window there is.
+    stats::Snapshot Before = stats::snapshotAll();
+    EXPECT_EQ(Set->snapshot(Out), 1000u) << Name;
+    stats::Snapshot Delta = stats::snapshotAll().delta(Before);
+    if (stats::Enabled) {
+      EXPECT_EQ(Delta.get(stats::Counter::MapScanWalks), 1u) << Name;
+      EXPECT_EQ(Delta.get(stats::Counter::MapScanLookups), 0u) << Name;
+    } else {
+      EXPECT_TRUE(Delta.empty()) << Name;
+    }
+
+    // 64 candidate keys against ~1000 nodes: one lookup per key.
+    Out.clear();
+    Before = stats::snapshotAll();
+    EXPECT_EQ(Set->rangeQuery(100, 163, Out), 64u) << Name;
+    Delta = stats::snapshotAll().delta(Before);
+    if (stats::Enabled) {
+      EXPECT_EQ(Delta.get(stats::Counter::MapScanWalks), 0u) << Name;
+      EXPECT_EQ(Delta.get(stats::Counter::MapScanLookups), 64u) << Name;
+    } else {
+      EXPECT_TRUE(Delta.empty()) << Name;
+    }
+  }
 }
 
 TEST(StatsLayer, RenderTableSkipsZeroRows) {
